@@ -41,8 +41,8 @@ object CostModel {
     * (prefix × p × suffix): the middle level must keep per-(outer START,
     * inner START) snapshots and touch every pair. When the prefix (resp.
     * suffix) is empty there is a single, final combination level, which
-    * the executor answers with time-sorted cumulative snapshots (one
-    * binary search per window at each completion) — a quadratic cost,
+    * the executor answers with per-window suffix sums bucketed by slide
+    * (one index lookup per window at each completion) — a quadratic cost,
     * matching the literal Eq 5 with the missing factor dropped. A query
     * identical to `p` needs no combination at all.
     */

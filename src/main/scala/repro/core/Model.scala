@@ -89,12 +89,13 @@ object Model {
     require(lengthSec > 0 && slideSec > 0 && slideSec <= lengthSec,
       s"invalid window $this")
 
+    /** Start time of the first window containing time point `t`. */
+    def firstWindowStart(t: Long): Long =
+      math.max(0L, math.floorDiv(t - lengthSec, slideSec) + 1) * slideSec
+
     /** Start times of all windows containing time point `t`. */
-    def windowsOf(t: Long): Seq[Long] = {
-      val last  = math.floorDiv(t, slideSec)
-      val first = math.max(0L, math.floorDiv(t - lengthSec, slideSec) + 1)
-      (first to last).map(_ * slideSec)
-    }
+    def windowsOf(t: Long): Seq[Long] =
+      (firstWindowStart(t) / slideSec to math.floorDiv(t, slideSec)).map(_ * slideSec)
 
     /** End (exclusive) of the last window containing `t` — an event is
       * expired once current time reaches this (Fig 6(b), §3.2).

@@ -1,5 +1,6 @@
 package repro.exec
 
+import scala.collection.mutable
 import repro.core.Model._
 import repro.core.Candidate
 
@@ -27,14 +28,59 @@ object CompiledPlan {
     require(segments.nonEmpty)
   }
 
+  /** A type's place in a distinct segment: `segment` indexes
+    * [[CompiledWorkload.segmentTypes]], `level` is the position in it.
+    */
+  final case class SegmentLevel(segment: Int, level: Int)
+
+  /** A reader of a distinct segment: `query` indexes
+    * [[CompiledWorkload.queries]], `position` is the segment's index among
+    * the query's segments.
+    */
+  final case class QuerySegment(query: Int, position: Int)
+
+  /** A compiled workload. Its body builds, once at compile time, the
+    * wiring every key group's engine follows, so an engine only allocates
+    * per-key state.
+    */
   final case class CompiledWorkload(window: WindowSpec,
                                     queries: Vector[CompiledQuery],
                                     typeIds: Map[EventType, Int]) extends Serializable {
+    /** `querySegments(q)(j)`: index into [[segmentTypes]] of query `q`'s
+      * `j`-th segment; distinct segments are numbered by first use.
+      */
+    val querySegments: Vector[Vector[Int]] = {
+      val index = mutable.HashMap.empty[String, Int]
+      queries.map(_.segments.map(s => index.getOrElseUpdate(s.shareKey, index.size)))
+    }
+
+    /** Type vectors of the distinct segments (one per share-key): one
+      * aggregation state each, however many queries read it.
+      */
+    val segmentTypes: Vector[Vector[Int]] =
+      queries.flatMap(_.segments).distinctBy(_.shareKey).map(_.types)
+
+    /** `readers(s)`: the queries that read distinct segment `s`. */
+    val readers: Array[List[QuerySegment]] = Array.fill(segmentTypes.size)(Nil)
+    for (q <- querySegments.indices; j <- querySegments(q).indices)
+      readers(querySegments(q)(j)) ::= QuerySegment(q, j)
+
+    // Dispatch table indexed by type id. A pattern's types are distinct
+    // and its segments are disjoint slices of it, so a type occupies at
+    // most one level of a segment and one segment of a query.
+    private val segmentsByType: Array[List[SegmentLevel]] =
+      Array.fill(segmentTypes.iterator.flatten.maxOption.fold(0)(_ + 1))(Nil)
+    for (s <- segmentTypes.indices; level <- segmentTypes(s).indices)
+      segmentsByType(segmentTypes(s)(level)) ::= SegmentLevel(s, level)
+
+    /** The distinct segments that react to an event of type `etype`. */
+    def segmentsHolding(etype: Int): List[SegmentLevel] =
+      if (etype >= 0 && etype < segmentsByType.length) segmentsByType(etype) else Nil
+
     /** Distinct segment share-keys — the number of aggregation states the
       * executor maintains (fewer = more sharing).
       */
-    def distinctSegments: Int =
-      queries.flatMap(_.segments.map(_.shareKey)).distinct.size
+    def distinctSegments: Int = segmentTypes.size
   }
 
   /** Stable event-type dictionary for a workload (executor-side types are

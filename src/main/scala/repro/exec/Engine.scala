@@ -19,6 +19,10 @@ import CompiledPlan._
   * it falls into, restricted to STARTs `a` inside that window
   * (Fig 6(b) expiration semantics).
   *
+  * The wiring — which segment runtimes a query reads and which runtimes
+  * react to an event type — comes from the tables of `cw`, compiled once
+  * per workload; an engine only allocates per-key state.
+  *
   * Timestamp ties: sequence semantics require strictly increasing times
   * (Definition 1), so events sharing a timestamp are evaluated against
   * the state as of strictly-earlier times — reads happen for the whole
@@ -36,71 +40,60 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
     counts(0) = 1L
   }
 
-  private final case class PendingInc(s: StartState, level: Int, delta: Long)
+  /** An increment of `delta` to the count at `level` for START `s`: a
+    * segment's `s.counts(level)`, or a query's combined count
+    * `comb(level)(s)`. Applied when the tie-batch commits.
+    */
+  final class PendingInc(val s: StartState, val level: Int, val delta: Long)
 
-  /** Combination snapshot taken when a segment START arrives (§3.3).
-    * Intermediate levels keep per-START values; the final level only
-    * needs, per window the START can fall into, the sum of combined
-    * counts of overall STARTs inside that window — `w/slide` numbers per
-    * START instead of one per overall START. This is what keeps
-    * single-sided sharing's cost and memory quadratic-free at the final
-    * level (the literal Eq 5: the triple product arises only between two
-    * combination levels, i.e. when both a prefix and a suffix exist).
+  /** A-Seq state for one distinct segment of `size` types (§3.2); shared
+    * across queries when the plan says so.
     */
-  private sealed trait Snap { def stateUnits: Long }
-  private final case class MapSnap(m: mutable.AnyRefMap[StartState, Long]) extends Snap {
-    def stateUnits: Long = m.size.toLong + 1
-  }
-  /** `sums(i)` = Σ counts of overall STARTs `a` with
-    * `a.time >= firstWs + i*slide`, for the windows containing the
-    * segment START this snapshot belongs to.
-    */
-  private final case class WinSnap(firstWs: Long, sums: Array[Long]) extends Snap {
-    def stateUnits: Long = sums.length.toLong + 1
-  }
-
-  /** A-Seq state for one segment pattern (§3.2); shared across queries
-    * when the plan says so (one instance per distinct shareKey).
-    */
-  final class SegmentRuntime(val types: Vector[Int]) {
-    private val levelOf: Map[Int, Int] = types.zipWithIndex.toMap
+  final class SegmentRuntime(size: Int) {
+    // Appended in time order, so expired STARTs form a prefix.
     val starts = mutable.ArrayBuffer.empty[StartState]
     private var pendingStarts = List.empty[StartState]
     private var pendingIncs   = List.empty[PendingInc]
 
-    /** Phase 1: evaluate `e` against pre-batch state. Returns the newly
-      * created START (not yet live) and the full-segment completions
-      * `(start, delta)` ending at `e`.
+    /** The START created by the last observed event, or null. */
+    var newStart: StartState = null
+    /** The full-segment matches the last observed event completes: the
+      * increments of the final level, one per START.
       */
-    def observe(e: Event): (Option[StartState], List[(StartState, Long)]) =
-      levelOf.get(e.etype) match {
-        case None => (None, Nil)
-        case Some(0) =>
-          val st = new StartState(e.time, types.size)
-          pendingStarts ::= st
-          metrics.countUpdates += 1
-          metrics.addState(types.size.toLong)
-          // A single-type segment completes at its own START event.
-          val comps = if (types.size == 1) List((st, 1L)) else Nil
-          (Some(st), comps)
-        case Some(j) =>
-          var comps = List.empty[(StartState, Long)]
-          val last  = types.size - 1
-          var i     = 0
-          while (i < starts.size) {
-            val s = starts(i)
-            if (s.time < e.time) {
-              metrics.countUpdates += 1
-              val delta = s.counts(j - 1)
-              if (delta > 0) {
-                pendingIncs ::= PendingInc(s, j, delta)
-                if (j == last) comps ::= ((s, delta))
-              }
+    var ends: List[PendingInc] = Nil
+
+    /** Phase 1: evaluate `e`, whose type is the segment's `level`-th,
+      * against pre-batch state; sets [[newStart]] and [[ends]]. The new
+      * START is not live until [[commit]].
+      */
+    def observe(e: Event, level: Int): Unit = {
+      newStart = null
+      ends = Nil
+      if (level == 0) {
+        newStart = new StartState(e.time, size)
+        pendingStarts ::= newStart
+        metrics.countUpdates += 1
+        metrics.addState(size.toLong)
+        // A single-type segment completes at its own START event.
+        if (size == 1) ends = List(new PendingInc(newStart, 0, 1L))
+      } else {
+        val last = size - 1
+        var i    = 0
+        while (i < starts.size) {
+          val s = starts(i)
+          if (s.time < e.time) {
+            metrics.countUpdates += 1
+            val delta = s.counts(level - 1)
+            if (delta > 0) {
+              val inc = new PendingInc(s, level, delta)
+              pendingIncs ::= inc
+              if (level == last) ends ::= inc
             }
-            i += 1
           }
-          (None, comps)
+          i += 1
+        }
       }
+    }
 
     /** Phase 2: make the tie-batch's effects visible. */
     def commit(): Unit = {
@@ -114,186 +107,142 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
       * the window filter at result time already excludes them.
       */
     def expire(now: Long): Unit = {
-      var i = 0
-      while (i < starts.size) {
-        if (win.lastWindowEnd(starts(i).time) <= now) {
-          metrics.removeState(types.size.toLong)
-          starts.remove(i)
-        } else i += 1
-      }
+      var dead = 0
+      while (dead < starts.size && win.lastWindowEnd(starts(dead).time) <= now) dead += 1
+      starts.remove(0, dead)
+      metrics.removeState(dead * size.toLong)
     }
   }
 
-  /** Count-combination state of one query (§3.3). Level `j` corresponds
-    * to the combined pattern `C_j = S_1..S_j`; `comb(j)` maps the overall
-    * START `a` (a START of `S_1`) to the number of completed `C_{j+1}`
-    * matches.
+  /** Count-combination state of one query over its `k` segments (§3.3).
+    * Level `j` corresponds to the combined pattern `C_j = S_1..S_j`.
     */
-  final class QueryRuntime(val q: CompiledQuery, val segs: Vector[SegmentRuntime]) {
-    private val k = segs.size
-    private val comb: Array[mutable.AnyRefMap[StartState, Long]] =
-      Array.fill(k)(mutable.AnyRefMap.empty)
-    // snaps(j): segment-j START c -> snapshot of comb(j-1) taken at c.
-    private val snaps: Array[mutable.AnyRefMap[StartState, Snap]] =
-      Array.fill(k)(mutable.AnyRefMap.empty)
-    private var pendingComb = List.empty[(Int, StartState, Long)]
+  final class QueryRuntime(val q: CompiledQuery) {
+    private val k = q.segments.size
+    // comb(j), j < k-1: overall START `a` -> number of completed `C_{j+1}`
+    // matches. The last level only feeds window results, so it has none.
+    private val comb = Array.fill(k - 1)(mutable.AnyRefMap.empty[StartState, Long])
+    // midSnaps(j-1), 0 < j < k-1: segment-j START `c` -> the positive
+    // entries of comb(j-1) when `c` arrived.
+    private val midSnaps =
+      Array.fill(math.max(0, k - 2))(mutable.AnyRefMap.empty[StartState, mutable.AnyRefMap[StartState, Long]])
+    // finalSnaps: last segment's START `c` -> `sums`, where `sums(i)` is
+    // Σ comb(k-2)(a) over the STARTs `a` with
+    // `a.time >= win.firstWindowStart(c.time) + i*slide`, for the windows
+    // containing `c`. A completion then reads one cell per window instead
+    // of iterating every overall START; this is what keeps single-sided
+    // sharing's cost and memory quadratic (the literal Eq 5: the triple
+    // product arises only between two combination levels, i.e. when both
+    // a prefix and a suffix exist).
+    private val finalSnaps  = mutable.AnyRefMap.empty[StartState, Array[Long]]
+    private var pendingComb = List.empty[PendingInc]
     val results = mutable.LongMap.empty[Long] // windowStart -> count
 
-    /** Phase 1 for one event of the tie-batch. `segResults(segIdx(j))` is
-      * segment `j`'s observe() result for this event (null when the
-      * segment did not react).
+    /** Phase 1 for event `e`, whose type lies in this query's `j`-th
+      * segment `seg`: the only one of its segments that reacts, since a
+      * pattern's types are distinct. Reads [[SegmentRuntime.newStart]] and
+      * [[SegmentRuntime.ends]] of `seg` for `e`.
       */
-    def observe(e: Event,
-                segResults: Array[(Option[StartState], List[(StartState, Long)])],
-                segIdx: Vector[Int]): Unit = {
-      def perSeg(j: Int): (Option[StartState], List[(StartState, Long)]) = {
-        val r = segResults(segIdx(j))
-        if (r == null) (None, Nil) else r
-      }
-      // 1. Snapshots at new STARTs of segments j >= 1 (Fig 7: "when c3
-      //    arrives, count(A,B) = 1"). The *final* level stores the
-      //    snapshot as a time-sorted cumulative array so completions can
-      //    answer "combined count of STARTs >= window start" with one
-      //    binary search instead of iterating every START — this is what
-      //    keeps single-sided sharing quadratic (the literal Eq 5:
-      //    the triple product only arises between two combination
-      //    levels, i.e. with both a prefix and a suffix).
-      var j = 1
-      while (j < k) {
-        perSeg(j)._1.foreach { c =>
-          if (j == k - 1) {
-            val wss     = win.windowsOf(c.time)
-            val firstWs = wss.head
-            val buckets = new Array[Long](wss.size)
-            var touched = 0
-            comb(j - 1).foreachEntry { (a, n) =>
-              if (n > 0 && a.time >= firstWs) {
-                touched += 1
-                // `a` covers every window start <= a.time in range.
-                val pos = math.min(buckets.length - 1,
-                  ((a.time - firstWs) / win.slideSec).toInt)
-                buckets(pos) += n
-              }
-            }
-            // suffix-sum: sums(i) = Σ_{p >= i} buckets(p)
-            var i = buckets.length - 2
-            while (i >= 0) { buckets(i) += buckets(i + 1); i -= 1 }
-            metrics.combMults += math.max(1, touched + buckets.length)
-            metrics.addState(buckets.length.toLong + 1)
-            snaps(j)(c) = WinSnap(firstWs, buckets)
-          } else {
-            val snap = mutable.AnyRefMap.empty[StartState, Long]
-            comb(j - 1).foreachEntry { (a, n) => if (n > 0) snap(a) = n }
-            metrics.combMults += math.max(1, snap.size)
-            metrics.addState(snap.size.toLong + 1)
-            snaps(j)(c) = MapSnap(snap)
-          }
-        }
-        j += 1
-      }
+    def observe(e: Event, j: Int, seg: SegmentRuntime): Unit = {
+      // 1. Snapshot at a new START of a segment j >= 1 (Fig 7: "when c3
+      //    arrives, count(A,B) = 1").
+      if (j > 0 && seg.newStart != null) snapshot(j, seg.newStart)
       // 2. Completions. Level 0 feeds comb(0) directly; level j >= 1
       //    multiplies against the snapshot taken at its START.
-      // comb(k-1) is never read (the last level only feeds window
-      // results), so it is not materialized.
-      val windowDeltas = mutable.AnyRefMap.empty[StartState, Long]
-      perSeg(0)._2.foreach { case (a, delta) =>
-        if (k > 1) pendingComb ::= ((0, a, delta))
-        else windowDeltas(a) = windowDeltas.getOrElse(a, 0L) + delta
-      }
-      j = 1
-      while (j < k) {
-        perSeg(j)._2.foreach { case (c, delta) =>
-          snaps(j).get(c) match {
-            case Some(MapSnap(snap)) => // intermediate level
-              snap.foreachEntry { (a, pref) =>
-                metrics.combMults += 1
-                pendingComb ::= ((j, a, pref * delta))
-              }
-            case Some(WinSnap(firstWs, sums)) => // final level
-              win.windowsOf(e.time).foreach { ws =>
-                metrics.combMults += 1
-                val idx = (ws - firstWs) / win.slideSec
-                if (idx >= 0 && idx < sums.length) {
-                  val sum = sums(idx.toInt) * delta
-                  if (sum != 0) {
-                    if (!results.contains(ws)) metrics.addState(1)
-                    results(ws) = results.getOrElse(ws, 0L) + sum
-                  }
-                }
-              }
-            case None => ()
+      if (seg.ends.nonEmpty) {
+        if (k == 1) endSingle(e, seg.ends)
+        else if (j == 0) seg.ends.foreach(p => pendingComb ::= new PendingInc(p.s, 0, p.delta))
+        else if (j < k - 1)
+          seg.ends.foreach { p =>
+            midSnaps(j - 1)(p.s).foreachEntry { (a, pref) =>
+              metrics.combMults += 1
+              pendingComb ::= new PendingInc(a, j, pref * p.delta)
+            }
           }
-        }
-        j += 1
-      }
-      // 3. Window result updates at the query's END event (§3.2: "when an
-      //    END event arrives, it updates the final counts for all windows
-      //    it falls into"), filtered to STARTs inside the window. Only
-      //    single-segment queries take this path; multi-segment queries
-      //    update results through the final-level CumSnap above.
-      if (windowDeltas.nonEmpty) {
-        win.windowsOf(e.time).foreach { ws =>
-          var sum = 0L
-          // Same work unit as the shared path's per-(START, window)
-          // combination lookups — metered so Non-Shared and Shared costs
-          // are comparable.
-          metrics.combMults += windowDeltas.size
-          windowDeltas.foreachEntry { (a, d) => if (a.time >= ws) sum += d }
-          if (sum != 0) {
-            if (!results.contains(ws)) metrics.addState(1)
-            results(ws) = results.getOrElse(ws, 0L) + sum
+        else {
+          val wss = win.windowsOf(e.time)
+          seg.ends.foreach { p =>
+            val sums    = finalSnaps(p.s)
+            val firstWs = win.firstWindowStart(p.s.time)
+            wss.foreach { ws =>
+              metrics.combMults += 1
+              val idx = (ws - firstWs) / win.slideSec
+              if (idx >= 0 && idx < sums.length) addResult(ws, sums(idx.toInt) * p.delta)
+            }
           }
         }
       }
     }
 
+    private def snapshot(j: Int, c: StartState): Unit =
+      if (j == k - 1) {
+        val firstWs = win.firstWindowStart(c.time)
+        val sums    = new Array[Long](win.windowsOf(c.time).size)
+        var touched = 0
+        comb(j - 1).foreachEntry { (a, n) =>
+          if (n > 0 && a.time >= firstWs) {
+            touched += 1
+            // `a` lies in every window of `c` that starts at or before a.time.
+            sums(math.min(sums.length - 1, ((a.time - firstWs) / win.slideSec).toInt)) += n
+          }
+        }
+        // Per-slide buckets to suffix sums: sums(i) = Σ_{p >= i} bucket(p).
+        var i = sums.length - 2
+        while (i >= 0) { sums(i) += sums(i + 1); i -= 1 }
+        metrics.combMults += math.max(1, touched + sums.length)
+        metrics.addState(sums.length.toLong + 1)
+        finalSnaps(c) = sums
+      } else {
+        val snap = mutable.AnyRefMap.empty[StartState, Long]
+        comb(j - 1).foreachEntry { (a, n) => if (n > 0) snap(a) = n }
+        metrics.combMults += math.max(1, snap.size)
+        metrics.addState(snap.size.toLong + 1)
+        midSnaps(j - 1)(c) = snap
+      }
+
+    /** Window result updates at the END event of a single-segment query
+      * (§3.2: "when an END event arrives, it updates the final counts for
+      * all windows it falls into"), filtered to STARTs inside the window.
+      */
+    private def endSingle(e: Event, ends: List[PendingInc]): Unit = {
+      val n = ends.size
+      win.windowsOf(e.time).foreach { ws =>
+        // Same work unit as the shared path's per-(START, window)
+        // combination lookups — metered so Non-Shared and Shared costs
+        // are comparable.
+        metrics.combMults += n
+        var sum = 0L
+        ends.foreach(p => if (p.s.time >= ws) sum += p.delta)
+        addResult(ws, sum)
+      }
+    }
+
+    private def addResult(ws: Long, n: Long): Unit =
+      if (n != 0) {
+        if (!results.contains(ws)) metrics.addState(1)
+        results(ws) = results.getOrElse(ws, 0L) + n
+      }
+
     def commit(): Unit = {
-      pendingComb.foreach { case (j, a, inc) =>
-        if (!comb(j).contains(a)) metrics.addState(1)
-        comb(j)(a) = comb(j).getOrElse(a, 0L) + inc
+      pendingComb.foreach { p =>
+        if (!comb(p.level).contains(p.s)) metrics.addState(1)
+        comb(p.level)(p.s) = comb(p.level).getOrElse(p.s, 0L) + p.delta
       }
       pendingComb = Nil
     }
 
     def expire(now: Long): Unit = {
-      comb.foreach { m =>
-        val dead = m.keysIterator.filter(a => win.lastWindowEnd(a.time) <= now).toList
-        dead.foreach { a => m.remove(a); metrics.removeState(1) }
-      }
-      snaps.foreach { m =>
-        val dead = m.keysIterator.filter(c => win.lastWindowEnd(c.time) <= now).toList
-        dead.foreach { c =>
-          val snap = m.remove(c)
-          metrics.removeState(snap.map(_.stateUnits).getOrElse(1L))
-        }
-      }
+      def drop[V](m: mutable.AnyRefMap[StartState, V])(units: V => Long): Unit =
+        m.keysIterator.filter(a => win.lastWindowEnd(a.time) <= now).toList
+          .foreach(a => metrics.removeState(units(m.remove(a).get)))
+      comb.foreach(drop(_)(_ => 1L))
+      midSnaps.foreach(drop(_)(_.size + 1L))
+      drop(finalSnaps)(_.length + 1L)
     }
   }
 
-  // --- wiring: one runtime per distinct shareKey; queries reference them.
-  private val segmentRuntimes: mutable.LinkedHashMap[String, SegmentRuntime] =
-    mutable.LinkedHashMap.empty
-  private val queryRuntimes: Vector[QueryRuntime] = cw.queries.map { cq =>
-    val segs = cq.segments.map(s =>
-      segmentRuntimes.getOrElseUpdate(s.shareKey, new SegmentRuntime(s.types)))
-    new QueryRuntime(cq, segs)
-  }
-  private val segKeys = segmentRuntimes.keys.toVector
-  private val segArr  = segKeys.map(segmentRuntimes).toArray
-  // Per query: index of each of its segments into segKeys.
-  private val querySegIdx: Vector[Vector[Int]] = cw.queries.map(
-    _.segments.map(s => segKeys.indexOf(s.shareKey)))
-  // Dispatch indexes: which segments / queries react to an event type.
-  private val typeToSegs: Map[Int, Array[Int]] =
-    segArr.zipWithIndex
-      .flatMap { case (s, i) => s.types.map(_ -> i) }
-      .groupBy(_._1).view.mapValues(_.map(_._2).distinct.sorted).toMap
-  private val typeToQueries: Map[Int, Array[Int]] =
-    cw.queries.indices
-      .flatMap(qi => cw.queries(qi).segments.flatMap(_.types).distinct.map(_ -> qi))
-      .groupBy(_._1).view.mapValues(_.map(_._2).distinct.sorted.toArray).toMap
-  private val segResults =
-    new Array[(Option[StartState], List[(StartState, Long)])](segArr.length)
+  private val segments = cw.segmentTypes.map(ts => new SegmentRuntime(ts.size)).toArray
+  private val queryRuntimes = cw.queries.map(new QueryRuntime(_)).toArray
 
   private var nextExpire = Long.MinValue
 
@@ -301,27 +250,21 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
     val events = batch.reverse // restore arrival order (cosmetic; ties commute)
     events.foreach { e =>
       metrics.events += 1
-      // Phase 1a: each reacting segment runtime sees the event once —
-      // this is the sharing: shared patterns are aggregated once (§3.3).
-      val segs = typeToSegs.getOrElse(e.etype, null)
-      if (segs != null) {
-        var i = 0
-        while (i < segs.length) { segResults(segs(i)) = segArr(segs(i)).observe(e); i += 1 }
-        // Phase 1b: per-query combination against pre-batch combiner
-        // state; only queries whose pattern contains the type react.
-        val qs = typeToQueries(e.etype)
-        i = 0
-        while (i < qs.length) {
-          queryRuntimes(qs(i)).observe(e, segResults, querySegIdx(qs(i))); i += 1
-        }
-        i = 0
-        while (i < segs.length) { segResults(segs(i)) = null; i += 1 }
+      // Phase 1a: each segment runtime holding the type sees the event
+      // once — this is the sharing: shared patterns are aggregated once
+      // (§3.3). Phase 1b: each query reading that segment combines
+      // through it against pre-batch combiner state; a pattern's types
+      // are distinct, so no other segment of the query reacts.
+      cw.segmentsHolding(e.etype).foreach { sl =>
+        val seg = segments(sl.segment)
+        seg.observe(e, sl.level)
+        cw.readers(sl.segment).foreach(r => queryRuntimes(r.query).observe(e, r.position, seg))
       }
       // NB: within a tie-batch each event's observe() reads only
       // pre-batch counts (commits below happen after the whole batch),
       // preserving the strict e_i.time < e_j.time sequence semantics.
     }
-    segArr.foreach(_.commit())
+    segments.foreach(_.commit())
     queryRuntimes.foreach(_.commit())
   }
 
@@ -337,7 +280,7 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
     if (e.time != lastTime && batch.nonEmpty) { processBatch(batch); batch = Nil }
     lastTime = e.time
     if (e.time >= nextExpire) {
-      segmentRuntimes.valuesIterator.foreach(_.expire(e.time))
+      segments.foreach(_.expire(e.time))
       queryRuntimes.foreach(_.expire(e.time))
       nextExpire = e.time + win.slideSec
     }

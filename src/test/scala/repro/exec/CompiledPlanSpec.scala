@@ -70,6 +70,20 @@ class CompiledPlanSpec extends AnyFunSuite {
     assert(cw.distinctSegments == 2) // both patterns fully shared
   }
 
+  test("dispatch: each type of a query reacts through exactly one (segment, level)") {
+    val idsZ = ids + ("Z" -> ids.size) // Z is in the dictionary but in no query
+    val cw   = CompiledPlan.compile(w, Seq(candidate(w, Pattern("B", "C"), Set(0, 1))), idsZ)
+    for ((q, qi) <- w.queries.zipWithIndex; t <- q.pattern.types.map(idsZ)) {
+      val held = cw.segmentsHolding(t).filter(sl => cw.readers(sl.segment).exists(_.query == qi))
+      assert(held.length == 1, s"type $t of $q")
+      val SegmentLevel(s, level) = held.head
+      assert(cw.segmentTypes(s)(level) == t)
+      val positions = cw.readers(s).filter(_.query == qi).map(_.position)
+      assert(positions.map(cw.querySegments(qi)) == List(s), s"type $t of $q")
+    }
+    for (t <- Seq(idsZ("Z"), -1, 99)) assert(cw.segmentsHolding(t).isEmpty, s"type $t")
+  }
+
   test("overlapping shared patterns are rejected (invalid plan)") {
     val plan = Seq(
       candidate(w, Pattern("A", "B"), Set(0, 2)),

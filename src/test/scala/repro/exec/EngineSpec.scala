@@ -11,8 +11,8 @@ import EngineFixtures._
   */
 class EngineSpec extends AnyFunSuite {
 
-  // Alphabet A=0, B=1, C=2, D=3.
-  private val ids  = Map[EventType, Int]("A" -> 0, "B" -> 1, "C" -> 2, "D" -> 3)
+  // Alphabet A=0, B=1, C=2, D=3, E=4.
+  private val ids  = Map[EventType, Int]("A" -> 0, "B" -> 1, "C" -> 2, "D" -> 3, "E" -> 4)
   private def ev(t: Long, ty: String): Event = Event(0L, t, ids(ty))
 
   private def workloadOf(win: WindowSpec, ps: Pattern*): Workload =
@@ -185,6 +185,27 @@ class EngineSpec extends AnyFunSuite {
     assert(m.events == 2)
   }
 
+  test("metrics: exact work, peak state and counts on a fixed tie-heavy stream") {
+    val win = WindowSpec(12, 4)
+    val w   = workloadOf(win, Pattern("A", "B", "C"), Pattern("B", "C", "D"), Pattern("A", "B", "C", "D"))
+    val w2  = workloadOf(win, Pattern("A", "B", "C"), Pattern("A", "B", "D"))
+    // 300 events on 81 time points: most timestamps carry a tie-batch.
+    val events = randomEvents(7L, 300, 80, 4, 1)
+    // (events, countUpdates, combMults, peakStateUnits, result cells, Σ counts)
+    val pinned = Seq(
+      "A-Seq" -> (CompiledPlan.nonShared(w, ids), (300L, 4458L, 4700L, 175L, 58, 13859L)),
+      "one shared segment" -> (CompiledPlan.compile(w2,
+        Seq(candidate(w2, Pattern("A", "B"), Set(0, 1))), ids), (300L, 736L, 1946L, 211L, 38, 5967L)),
+      // q2 = [A] [B,C] [D]: an intermediate and a final combination level.
+      "prefix + shared + suffix" -> (CompiledPlan.compile(w,
+        Seq(candidate(w, Pattern("B", "C"), Set(0, 1, 2))), ids), (300L, 1055L, 9820L, 566L, 58, 13859L)))
+    for ((name, (cw, expected)) <- pinned) {
+      val (res, m) = runEngine(cw, events)
+      val actual = (m.events, m.countUpdates, m.combMults, m.peakStateUnits, res.size, res.values.sum)
+      assert(actual == expected, name)
+    }
+  }
+
   test("expiration prunes state on long streams (streaming emission)") {
     val win = WindowSpec(4, 1)
     val cw  = CompiledPlan.nonShared(workloadOf(win, Pattern("A", "B")), ids)
@@ -216,14 +237,30 @@ class EngineSpec extends AnyFunSuite {
 
   test("property: Sharon engine equals brute force under a sharing plan") {
     val win = WindowSpec(12, 4)
-    val w   = workloadOf(win, Pattern("A", "B", "C"), Pattern("B", "C", "D"), Pattern("A", "B", "C", "D"))
-    val plan = Seq(candidate(w, Pattern("B", "C"), Set(0, 1, 2)))
-    val cw   = CompiledPlan.compile(w, plan, ids)
-    for (seed <- 0L until 30L) {
-      val events = randomEvents(seed + 1000, 40, 30, 4, 2)
-      val res    = runEngineMultiKey(cw, events)
-      val brute  = bruteWorkload(events, w, ids)
-      assert(res == brute, s"seed=$seed")
+    val w1  = workloadOf(win, Pattern("A", "B", "C"), Pattern("B", "C", "D"), Pattern("A", "B", "C", "D"))
+    val w2  = workloadOf(win, Pattern("A", "B", "C", "D", "E"), Pattern("B", "C"), Pattern("D", "E"))
+    val w3  = workloadOf(win, Pattern("A", "B", "C", "D", "E"), Pattern("A", "B"), Pattern("D", "E"))
+    val plans = Seq(
+      // q2 = [A] [B,C] [D]
+      "shared (B,C) with prefix and suffix" -> (w1, Seq(candidate(w1, Pattern("B", "C"), Set(0, 1, 2)))),
+      // q0 = [A] [B,C] [D,E]: the intermediate level is a shared segment
+      "two shared segments in one query" -> (w2, Seq(
+        candidate(w2, Pattern("B", "C"), Set(0, 1)), candidate(w2, Pattern("D", "E"), Set(0, 2)))),
+      // q0 = [A,B] [C] [D,E]: a single-type gap at the intermediate level
+      "single-type gap between shared segments" -> (w3, Seq(
+        candidate(w3, Pattern("A", "B"), Set(0, 1)), candidate(w3, Pattern("D", "E"), Set(0, 2)))))
+    for ((name, (w, plan)) <- plans) {
+      val cw       = CompiledPlan.compile(w, plan, ids)
+      val numTypes = w.queries.flatMap(_.pattern.types).distinct.size
+      var matched  = 0
+      for (seed <- 0L until 30L) {
+        val events = randomEvents(seed + 1000, 60, 30, numTypes, 2)
+        val res    = runEngineMultiKey(cw, events)
+        val brute  = bruteWorkload(events, w, ids)
+        assert(res == brute, s"$name, seed=$seed")
+        if (brute.keys.exists(_._1 == 0)) matched += 1
+      }
+      assert(matched > 0, s"$name: q0 never matched")
     }
   }
 
