@@ -1,6 +1,15 @@
 package repro.exec
 
+import java.util.concurrent.ConcurrentLinkedQueue
+import scala.jdk.CollectionConverters._
+import org.apache.spark.scheduler.{SparkListener, SparkListenerStageCompleted, StageInfo}
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.MapGroupsExec
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeLike
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.SpanSugar._
 import repro.{Oracle, OracleSql, SparkSpec}
 import repro.core.{Optimizer, SharablePatterns, SharonGraph}
 import repro.core.Model._
@@ -11,7 +20,7 @@ import repro.workload.{StreamGen, WorkloadGen}
   * and against each other on the paper's traffic workload (§8.2 setting,
   * scaled to oracle-tractable streams).
   */
-class SparkExecutorsSpec extends SparkSpec {
+class SparkExecutorsSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   import spark.implicits._
 
   // Scaled-down paper setting: same query shapes, smaller window.
@@ -118,5 +127,53 @@ class SparkExecutorsSpec extends SparkSpec {
     val s = asMap(OnlineExecutors.runSharon(spark, ev, w, plan, ids).counts)
     assert(a == s)
     assert(a.nonEmpty)
+  }
+
+  test("engine stage: one task per core behind a single key-hash exchange") {
+    val stages = new ConcurrentLinkedQueue[StageInfo]
+    val listener = new SparkListener {
+      override def onStageCompleted(e: SparkListenerStageCompleted): Unit = stages.add(e.stageInfo)
+    }
+    spark.sparkContext.addSparkListener(listener)
+    try {
+      val res = OnlineExecutors.runASeq(spark, events, workload, typeIds)
+      // The engine stage is the one whose tasks fed this run's accumulator,
+      // whose driver-side value is the returned metrics object.
+      def engineStages = stages.asScala.toList.filter(_.accumulables.values.exists(
+        _.value.exists { case m: EngineMetrics => m eq res.metrics; case _ => false }))
+      eventually(timeout(30.seconds)) { assert(engineStages.nonEmpty) }
+      assert(engineStages.map(_.numTasks) == List(spark.sparkContext.defaultParallelism))
+
+      val executed = res.counts.queryExecution.executedPlan
+      val plan = collectFirst(executed) { case s: InMemoryTableScanExec => s.relation.cachedPlan }
+        .getOrElse(fail(s"counts are not cached:\n${executed.treeString}"))
+      val engineOp = collectFirst(plan) { case m: MapGroupsExec => m }
+      assert(engineOp.nonEmpty, plan.treeString)
+      val exchanges = collect(engineOp.get.child) { case x: ShuffleExchangeLike => x }.size
+      assert(exchanges == 1, plan.treeString)
+    } finally spark.sparkContext.removeSparkListener(listener)
+  }
+
+  test("engine metrics and counts equal one KeyGroupEngine per sorted key group") {
+    val ev     = StreamGen.uniform(spark, 600, duration, nTypes, numKeys = 37, seed = 13).cache()
+    val groups = ev.collect().toSeq.groupBy(_.key).values.toSeq
+    assert(groups.size > spark.sparkContext.defaultParallelism)
+    val plans = Seq(
+      "A-Seq"  -> CompiledPlan.nonShared(workload, typeIds),
+      "Sharon" -> CompiledPlan.compile(workload, sharonPlan, typeIds))
+    for ((name, cw) <- plans) withClue(name) {
+      val expected = new EngineMetrics
+      val perKey = groups.map { g =>
+        val (counts, m) = EngineFixtures.runEngine(cw, g)
+        expected.merge(m)
+        counts
+      }
+      val counts = perKey.flatten.groupMapReduce(_._1)(_._2)(_ + _)
+      val res    = OnlineExecutors.run(spark, ev, cw)
+      def meters(m: EngineMetrics) = (m.events, m.countUpdates, m.combMults, m.peakStateUnits)
+      assert(meters(res.metrics) == meters(expected))
+      assert(asMap(res.counts) == counts)
+      assert(counts.values.sum > 0)
+    }
   }
 }
