@@ -44,8 +44,8 @@ object Expansion {
         val qc = opt.conflictCause(u) // queries of the option causing (v, u)
         // Drop every non-empty subset of the causing queries (Def 16);
         // the empty subset is the option itself.
-        for (c <- nonEmptySubsets(qc) if count < maxOptions) {
-          val rest = opt.queries.filterNot(c.contains)
+        for (c <- nonEmptySubsets(qc).takeWhile(_ => count < maxOptions)) {
+          val rest = opt.queries.filterNot(q => c.contains(q.id))
           val ids  = rest.map(_.id).toSet
           if (rest.size > 1 && !seenSets.contains(ids)) {
             seenSets += ids
@@ -64,11 +64,17 @@ object Expansion {
     options.result()
   }
 
-  private def nonEmptySubsets(qs: Vector[Query]): Iterator[Set[Query]] =
-    if (qs.isEmpty) Iterator.empty
-    else (1 until (1 << qs.size)).iterator.map { mask =>
-      qs.indices.collect { case i if (mask & (1 << i)) != 0 => qs(i) }.toSet
-    }
+  /** The non-empty subsets of `qs` as query-id sets, lazily, in binary
+    * counting order (`qs(i)` is bit `i`): the subsets of the first `k`
+    * queries, then the same subsets with query `k` added. No mask is
+    * built, so any number of queries works; the caller stops early.
+    */
+  private[core] def nonEmptySubsets(qs: Vector[Query]): Iterator[Set[Int]] = {
+    def upTo(k: Int): Iterator[Set[Int]] =
+      if (k == 0) Iterator.single(Set.empty)
+      else upTo(k - 1) ++ upTo(k - 1).map(_ + qs(k - 1).id)
+    upTo(qs.size).drop(1)
+  }
 
   /** Sharing conflict resolution (Algorithm 6): expands every vertex of
     * `g` into its option set and rebuilds the graph — vertices are all

@@ -35,7 +35,9 @@ object PlanFinder {
     * when a level would exceed it, the search stops and returns the best
     * plan seen so far with `complete = false` — the paper's §6 fallback
     * ("constrain the optimization time ... run GWMIN instead"), realized
-    * as an anytime cutoff. The default is unbounded (exact search).
+    * as an anytime cutoff. The over-cap level is still generated, scored
+    * and counted in the metrics, but only its first `maxLevelWidth` plans
+    * are ever held. The default is unbounded (exact search).
     */
   def find(g: SharonGraph, maxLevelWidth: Long = Long.MaxValue): Result = {
     var best      = Vector.empty[Int]
@@ -44,24 +46,36 @@ object PlanFinder {
     var peak      = 0L
     var levels    = 0
 
-    def score(plan: Vector[Int]): Double = plan.map(g.vertices(_).weight).sum
+    def weight(v: Int): Double = g.vertices(v).weight
 
     // Level 1: every single candidate is a valid plan (Definition 7).
     var level: Vector[Vector[Int]] = g.vertices.indices.map(Vector(_)).toVector
+    var width    = level.size.toLong
     var complete = true
-    while (level.nonEmpty) {
+    for (p <- level) if (weight(p.head) > bestScore) { bestScore = weight(p.head); best = p }
+    while (width > 0) {
       levels += 1
-      visited += level.size
-      peak = math.max(peak, level.size.toLong)
-      for (p <- level) {
-        val s = score(p)
-        if (s > bestScore) { bestScore = s; best = p }
-      }
-      if (level.size > maxLevelWidth) {
+      visited += width
+      peak = math.max(peak, width)
+      if (width > maxLevelWidth) {
         complete = false
-        level = Vector.empty // anytime cutoff: keep best-so-far
+        width = 0 // anytime cutoff: keep best-so-far
       } else {
-        level = nextLevel(g, level)
+        // Children are scored as they are generated, in level order; once
+        // the level outgrows the cap they are still counted but not kept.
+        val next = Vector.newBuilder[Vector[Int]]
+        var parentScore = 0.0
+        var scored: Vector[Int] = null
+        width = 0
+        forEachChild(g, level) { (parent, last) =>
+          if (parent ne scored) { scored = parent; parentScore = parent.map(weight).sum }
+          val s = parentScore + weight(last)
+          width += 1
+          if (s > bestScore) { bestScore = s; best = parent :+ last }
+          if (width <= maxLevelWidth) next += parent :+ last
+          else if (width == maxLevelWidth + 1) next.clear()
+        }
+        level = next.result()
       }
     }
     Result(best.map(g.vertices), bestScore, Metrics(visited, peak, levels), complete)
@@ -73,6 +87,15 @@ object PlanFinder {
     */
   def nextLevel(g: SharonGraph, parents: Vector[Vector[Int]]): Vector[Vector[Int]] = {
     val children = Vector.newBuilder[Vector[Int]]
+    forEachChild(g, parents)((parent, last) => children += parent :+ last)
+    children.result()
+  }
+
+  /** Calls `f(parent, last)` for each child `parent :+ last` of
+    * Algorithm 3, in lexicographic order.
+    */
+  private def forEachChild(g: SharonGraph, parents: Vector[Vector[Int]])(
+      f: (Vector[Int], Int) => Unit): Unit = {
     // Group parents sharing the first s-1 decisions; within a group the
     // last elements are distinct and ascending (lexicographic input).
     var i = 0
@@ -86,14 +109,13 @@ object PlanFinder {
         var b = a + 1
         while (b < end) {
           val lastB = parents(b).last
-          if (!g.hasEdge(lastA, lastB)) children += parents(a) :+ lastB
+          if (!g.hasEdge(lastA, lastB)) f(parents(a), lastB)
           b += 1
         }
         a += 1
       }
       i = end
     }
-    children.result()
   }
 
   /** Exhaustive search over *all* `2^|V|` candidate subsets (the EO

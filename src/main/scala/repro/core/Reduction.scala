@@ -27,29 +27,49 @@ object Reduction {
     }
   }
 
+  /** Algorithm 2 over the residual graph kept in arrays: alive flags,
+    * degrees and each vertex's summed neighbour weight. Then
+    * `Score_max(i) = total − neighbourWeight(i)` (Definition 12) costs
+    * O(1), a removal updates only the removed vertex's neighbours, and the
+    * reduced graph is induced once at the end. Each sweep moves out all
+    * conflict-free vertices if there are any; otherwise it prunes the
+    * first vertex in canonical order whose `Score_max` is below the
+    * guarantee, both taken on the residual graph.
+    */
   def reduce(graph: SharonGraph): Result = {
-    var g            = graph
+    val n         = graph.size
+    val weight    = graph.vertices.iterator.map(_.weight).toArray
+    val alive     = Array.fill(n)(true)
+    val degree    = Array.tabulate(n)(graph.degree)
+    val nbrWeight = Array.tabulate(n)(i => graph.adj(i).iterator.map(weight(_)).sum)
+    var left      = n
+    def remove(v: Int): Unit = {
+      alive(v) = false
+      left -= 1
+      for (u <- graph.adj(v) if alive(u)) { degree(u) -= 1; nbrWeight(u) -= weight(v) }
+    }
     val conflictFree = Vector.newBuilder[Candidate]
     var changed      = true
-    while (changed && g.size > 0) {
+    while (changed && left > 0) {
       changed = false
-      val guarantee = g.guaranteedWeight
-      val free      = g.vertices.indices.filter(g.degree(_) == 0)
+      val free = (0 until n).filter(i => alive(i) && degree(i) == 0)
       if (free.nonEmpty) {
-        conflictFree ++= free.map(g.vertices)
-        g = g.inducedOn(g.vertices.indices.filterNot(free.toSet))
+        free.foreach { i => conflictFree += graph.vertices(i); remove(i) }
         changed = true
       } else {
         // Prune one conflict-ridden candidate per sweep: each removal
-        // changes degrees, hence Score_max and the guarantee.
-        g.vertices.indices.find(i => g.scoreMax(i) < guarantee) match {
-          case Some(i) =>
-            g = g.inducedOn(g.vertices.indices.filterNot(_ == i))
-            changed = true
-          case None => ()
+        // changes degrees, hence Score_max and the guarantee (Eq 10).
+        var total, guarantee = 0.0
+        for (i <- 0 until n if alive(i)) {
+          total += weight(i)
+          guarantee += weight(i) / (degree(i) + 1)
+        }
+        (0 until n).find(i => alive(i) && total - nbrWeight(i) < guarantee) match {
+          case Some(i) => remove(i); changed = true
+          case None    => ()
         }
       }
     }
-    Result(g, conflictFree.result())
+    Result(graph.inducedOn((0 until n).filter(alive)), conflictFree.result())
   }
 }

@@ -1,5 +1,6 @@
 package repro.core
 
+import scala.collection.mutable
 import Model._
 
 /** A sharing candidate `(p, Q_p)` with its benefit value — one vertex of
@@ -44,6 +45,9 @@ final case class Candidate(pattern: Pattern, queries: Vector[Query], weight: Dou
   * sharing candidates, undirected edges = sharing conflicts. Implemented
   * as an adjacency list over vertex indices (§4, data structures);
   * vertices are kept in canonical `sortKey` order.
+  *
+  * Conflict edges are built through a per-query index rather than by
+  * testing all vertex pairs: see [[SharonGraph.fromCandidates]].
   */
 final case class SharonGraph(vertices: Vector[Candidate], adj: Vector[Set[Int]]) {
   require(vertices.size == adj.size)
@@ -61,7 +65,7 @@ final case class SharonGraph(vertices: Vector[Candidate], adj: Vector[Set[Int]])
 
   /** Maximal score of a plan containing vertex `i` (Definition 12):
     * total weight of all vertices not in conflict with `i` (including
-    * `i` itself).
+    * `i` itself). [[Reduction]] keeps it as `total − neighbour weight`.
     */
   def scoreMax(i: Int): Double =
     vertices.indices.filterNot(adj(i)).map(vertices(_).weight).sum
@@ -88,15 +92,20 @@ final case class SharonGraph(vertices: Vector[Candidate], adj: Vector[Set[Int]])
     out.result()
   }
 
-  /** Induced subgraph on `keep` (ascending indices); used by the
+  /** Induced subgraph on `keep` (distinct indices); used by the
     * reduction algorithm — removing a vertex also removes its conflicts.
+    * Keeping every vertex returns this graph.
     */
   def inducedOn(keep: Seq[Int]): SharonGraph = {
-    val kept  = keep.toVector.sorted
-    val remap = kept.zipWithIndex.toMap
-    SharonGraph(
-      kept.map(vertices),
-      kept.map(i => adj(i).collect { case j if remap.contains(j) => remap(j) }))
+    val kept = keep.toVector.sorted
+    if (kept.sameElements(vertices.indices)) this
+    else {
+      val remap = Array.fill(size)(-1)
+      kept.indices.foreach(k => remap(kept(k)) = k)
+      SharonGraph(
+        kept.map(vertices),
+        kept.map(i => adj(i).collect { case j if remap(j) >= 0 => remap(j) }))
+    }
   }
 }
 
@@ -104,14 +113,46 @@ object SharonGraph {
 
   /** Builds a graph from candidates, recomputing conflict edges
     * (Definition 6). Vertices are sorted canonically.
+    *
+    * Two candidates only conflict through a query they share, so instead
+    * of testing all vertex pairs the occurrence interval
+    * `[start, start + length − 1]` of each candidate's pattern is computed
+    * once per query of the candidate and bucketed by query id. Inside a
+    * bucket, sorted by start, each interval is paired with the following
+    * intervals that start before it ends — exactly the overlapping pairs.
+    * A pair overlapping in several queries is one edge. The cost is the
+    * number of overlapping (pair, query) combinations, not `V²`;
+    * [[Candidate.conflictsWith]] remains the pairwise reference.
     */
   def fromCandidates(candidates: Seq[Candidate]): SharonGraph = {
-    val vs = candidates.toVector.sortBy(_.sortKey)
-    val adj = vs.indices.toVector.map { i =>
-      vs.indices.filter(j => j != i && vs(i).conflictsWith(vs(j))).toSet
+    val vs      = candidates.toVector.sortBy(_.sortKey)
+    val byQuery = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Occurrence]]
+    for (v <- vs.indices; q <- vs(v).queries) {
+      val start = q.pattern.types.indexOfSlice(vs(v).pattern.types)
+      if (start >= 0)
+        byQuery.getOrElseUpdate(q.id, mutable.ArrayBuffer.empty) +=
+          Occurrence(start, start + vs(v).pattern.length - 1, v)
     }
-    SharonGraph(vs, adj)
+    val nbrs = Array.fill(vs.size)(mutable.BitSet.empty)
+    for (bucket <- byQuery.valuesIterator) {
+      val occ = bucket.sortInPlaceBy(_.start)
+      for (a <- occ.indices) {
+        var b = a + 1
+        while (b < occ.size && occ(b).start <= occ(a).end) {
+          val u = occ(a).vertex
+          val v = occ(b).vertex
+          if (u != v) { nbrs(u) += v; nbrs(v) += u }
+          b += 1
+        }
+      }
+    }
+    // BitSets iterate ascending, so each neighbour Set is built in index
+    // order (Sets of up to four elements keep their insertion order).
+    SharonGraph(vs, nbrs.iterator.map(_.toSet).toVector)
   }
+
+  /** Occurrence of a vertex's pattern at positions `start..end` of a query. */
+  private final case class Occurrence(start: Int, end: Int, vertex: Int)
 
   /** Sharon graph construction (Algorithm 1): from the sharable-pattern
     * table (Appendix A) keep candidates with more than one query and a
@@ -119,10 +160,10 @@ object SharonGraph {
     * connect conflicting candidates.
     */
   def construct(rates: Rates, sharable: Map[Pattern, Vector[Query]]): SharonGraph = {
-    val candidates = sharable.iterator.collect {
-      case (p, qs) if qs.size > 1 && CostModel.bValue(rates, p, qs) > 0 =>
-        Candidate(p, qs, CostModel.bValue(rates, p, qs))
-    }.toVector
-    fromCandidates(candidates)
+    val candidates = for {
+      (p, qs) <- sharable.iterator if qs.size > 1
+      w = CostModel.bValue(rates, p, qs) if w > 0
+    } yield Candidate(p, qs, w)
+    fromCandidates(candidates.toVector)
   }
 }

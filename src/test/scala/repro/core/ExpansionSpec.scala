@@ -113,4 +113,26 @@ class ExpansionSpec extends AnyFunSuite {
       }
     }
   }
+
+  test("subsets of a conflict cause come in binary counting order") {
+    val qs = workload.queries.take(5)
+    val masks = (1 until (1 << qs.size)).map(m =>
+      qs.indices.collect { case i if (m & (1 << i)) != 0 => qs(i).id }.toSet)
+    assert(Expansion.nonEmptySubsets(qs).toVector == masks)
+  }
+
+  test("a conflict cause of 33 queries expands (no 32-bit mask wrap)") {
+    val w  = WindowSpec(600, 60)
+    val qs = (0 until 33).map(i => Query(i, Pattern("A", "B", "C"), w)).toVector
+    val v  = Candidate(Pattern("A", "B"), qs, 1.0)
+    val u  = Candidate(Pattern("B", "C"), qs, 1.0) // overlaps v on B in every query
+    val big = SharonGraph.fromCandidates(Seq(v, u))
+    val opts = Expansion.expandCandidate(big, big.vertices.indexOf(v), unitWeigh,
+      maxOptions = 8)
+    // The root, then the cause's first seven subsets dropped: {q0}, {q1},
+    // {q0,q1}, {q2}, {q0,q2}, {q1,q2}, {q0,q1,q2}.
+    val dropped = Seq(Set.empty[Int], Set(0), Set(1), Set(0, 1), Set(2), Set(0, 2),
+      Set(1, 2), Set(0, 1, 2))
+    assert(opts.map(_.queryIds) == dropped.map((0 until 33).toSet -- _))
+  }
 }

@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Model._
+import repro.workload.{StreamGen, WorkloadGen}
 
 /** End-to-end optimizer pipeline tests (paper §8.3: GO, EO, SO). */
 class OptimizerSpec extends AnyFunSuite {
@@ -106,5 +107,31 @@ class OptimizerSpec extends AnyFunSuite {
     val so = Optimizer.sharon(w, r)
     assert(!eo.completed || so.completed) // SO always completes here
     assert(so.completed)
+  }
+
+  test("regression: SO on the shared-wide shape keeps its graph, score and plan") {
+    val wl    = WorkloadGen.generate(60, 10, 16, 2, WindowSpec(60, 6), 23)
+    val r     = StreamGen.perWindowRates(30000, 16)
+    val weigh: Expansion.Weigh = (p, qs) => CostModel.bValue(r, p, qs)
+    val ex    = Expansion.expandGraph(
+      SharonGraph.construct(r, SharablePatterns.detect(wl)), weigh, maxOptions = 64)
+    assert((ex.size, ex.edgeCount) == (1443, 150255))
+    assert(Reduction.reduce(ex).prunedConflictRidden(ex).isEmpty)
+    val so = Optimizer.sharon(wl, r, maxOptions = 64, maxLevelWidth = 50000L)
+    assert(!so.completed)
+    assert(so.score == 1578515625.0)
+    // sortKeys, with a space for their \u0001 type separator.
+    assert(so.plan.map(_.sortKey.replace('\u0001', ' ')) == Vector(
+      "T012 T002 T009 T001 T013 T005 T000 T004 T006 T003|20,26,33,38,46,54,58",
+      "T009 T001 T013 T005 T000 T004 T006 T003 T015|13,19,24,28,29,30,34,42,47,49",
+      "T001 T011 T015 T000 T003 T007 T002 T009 T014 T006|5,12,15,31,39,57",
+      "T010 T005 T013 T001 T011 T015 T000 T003 T007 T002|3,16,17,40,51,59",
+      "T010 T012 T002 T009 T001 T013 T005 T000 T004|4,7,14,21,27,32,50",
+      "T013 T001 T011 T015 T000 T003 T007 T002 T009|1,2,9,36,52",
+      "T011 T015 T000 T003 T007 T002 T009 T014 T006 T004|10,25,48",
+      "T012 T010 T005 T013 T001 T011 T015 T000 T003 T007|18,22,44,45,55",
+      "T001 T013 T005 T000 T004 T006 T003 T015 T008 T011|8,11,35,56",
+      "T015 T000 T003 T007 T002 T009 T014 T006 T004 T008|23,37,41,43",
+      "T014 T007 T010 T012 T002 T009 T001 T013 T005 T000|0,6,53"))
   }
 }

@@ -108,4 +108,30 @@ class PlanFinderSpec extends AnyFunSuite {
       }
     }
   }
+
+  test("level cutoff: metrics and plan pinned on a graph that outgrows the cap") {
+    val og    = RandomGraphs.graph(5, numQueries = 9, numTypes = 8)
+    val weigh: Expansion.Weigh = (p, qs) => CostModel.bValue(RandomGraphs.rates(8), p, qs)
+    val g     = Reduction.reduce(Expansion.expandGraph(og, weigh, maxOptions = 64)).reduced
+    assert((g.size, g.edgeCount) == (104, 4448))
+    val a = "T002 T000 T004 T007|0,3"
+    val b = "T003 T000 T007 T001|1,7"
+    val c = "T004 T007 T001 T003|2,5,8"
+    val d = "T007 T001 T006|4,6"
+    // (cap, metrics, complete, score, plan as sortKeys with a space for
+    // their \u0001 type separator) — recorded with the finder that held
+    // every level in full.
+    val pinned = Seq(
+      (Long.MaxValue, PlanFinder.Metrics(2979, 1553, 5), true, 17.0, Vector(a, b, c, d)),
+      (1000L, PlanFinder.Metrics(2565, 1553, 3), false, 16.0, Vector(a, b, c)),
+      (200L, PlanFinder.Metrics(1012, 908, 2), false, 12.0, Vector(a, c)),
+      (50L, PlanFinder.Metrics(104, 104, 1), false, 8.0, Vector(c)))
+    for ((cap, metrics, complete, score, plan) <- pinned) {
+      val r = PlanFinder.find(g, cap)
+      assert(r.metrics == metrics, s"cap=$cap")
+      assert(r.complete == complete, s"cap=$cap")
+      assert(r.score == score, s"cap=$cap")
+      assert(r.plan.map(_.sortKey.replace('\u0001', ' ')) == plan, s"cap=$cap")
+    }
+  }
 }

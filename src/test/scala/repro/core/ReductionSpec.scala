@@ -66,4 +66,48 @@ class ReductionSpec extends AnyFunSuite {
       }
     }
   }
+
+  /** Algorithm 2 as a per-sweep loop over induced graphs, using the graph's
+    * own `guaranteedWeight` and `scoreMax` — the reference for `reduce`.
+    */
+  private def referenceReduce(graph: SharonGraph): Reduction.Result = {
+    var g            = graph
+    val conflictFree = Vector.newBuilder[Candidate]
+    var changed      = true
+    while (changed && g.size > 0) {
+      changed = false
+      val guarantee = g.guaranteedWeight
+      val free      = g.vertices.indices.filter(g.degree(_) == 0)
+      if (free.nonEmpty) {
+        conflictFree ++= free.map(g.vertices)
+        g = g.inducedOn(g.vertices.indices.filterNot(free.toSet))
+        changed = true
+      } else {
+        g.vertices.indices.find(i => g.scoreMax(i) < guarantee) match {
+          case Some(i) =>
+            g = g.inducedOn(g.vertices.indices.filterNot(_ == i))
+            changed = true
+          case None => ()
+        }
+      }
+    }
+    Reduction.Result(g, conflictFree.result())
+  }
+
+  test("reduce equals the per-sweep reference, unexpanded and expanded") {
+    var pruned = 0
+    for (seed <- 0L until 40L) {
+      val og    = RandomGraphs.graph(seed, numQueries = 4 + (seed % 6).toInt, numTypes = 8)
+      val weigh: Expansion.Weigh =
+        (p, qs) => CostModel.bValue(RandomGraphs.rates(8), p, qs)
+      for (g <- Seq(og, Expansion.expandGraph(og, weigh, maxOptions = 64))) {
+        val (r, ref) = (Reduction.reduce(g), referenceReduce(g))
+        assert(r.reduced.vertices == ref.reduced.vertices, s"seed=$seed")
+        assert(r.reduced.adj == ref.reduced.adj, s"seed=$seed")
+        assert(r.conflictFree == ref.conflictFree, s"seed=$seed")
+        pruned += r.prunedConflictRidden(g).size
+      }
+    }
+    assert(pruned > 0)
+  }
 }

@@ -104,4 +104,25 @@ class SharonGraphSpec extends AnyFunSuite {
     // p2's neighbors were p1,p3,p5 -> now p1,p5.
     assert(h.neighbors(hp2).map(h.vertices(_).pattern) == Set(p1, p5))
   }
+
+  test("inducedOn keeping every vertex returns the same graph") {
+    assert(g.inducedOn((0 until g.size).reverse) eq g)
+  }
+
+  test("index-built edges are exactly the Definition 6 conflicts, unexpanded and expanded") {
+    var edges = 0
+    for (seed <- 0L until 30L) {
+      val og    = RandomGraphs.graph(seed, numQueries = 4 + (seed % 6).toInt, numTypes = 8)
+      val weigh: Expansion.Weigh =
+        (p, qs) => CostModel.bValue(RandomGraphs.rates(8), p, qs)
+      for (h <- Seq(og, Expansion.expandGraph(og, weigh, maxOptions = 64))) {
+        assert(h.vertices.map(_.sortKey) == h.vertices.map(_.sortKey).sorted, s"seed=$seed")
+        for (i <- 0 until h.size; j <- 0 until h.size)
+          assert(h.hasEdge(i, j) == (i != j && h.vertices(i).conflictsWith(h.vertices(j))),
+            s"seed=$seed ${h.vertices(i)} vs ${h.vertices(j)}")
+        edges += h.edgeCount
+      }
+    }
+    assert(edges > 1000)
+  }
 }
