@@ -23,11 +23,7 @@ final case class Candidate(pattern: Pattern, queries: Vector[Query], weight: Dou
   /** Sharing conflict test (Definition 6): the two candidates' patterns
     * overlap inside the pattern of at least one common query.
     */
-  def conflictsWith(other: Candidate): Boolean = {
-    val common = queryIds intersect other.queryIds
-    common.nonEmpty && queries.exists(q =>
-      common.contains(q.id) && q.pattern.occurrencesOverlap(pattern, other.pattern))
-  }
+  def conflictsWith(other: Candidate): Boolean = conflictCause(other).nonEmpty
 
   /** Queries causing the conflict with `other` (Definition 6, used by the
     * expansion Algorithm 5).

@@ -17,16 +17,18 @@ import CompiledPlan._
   * increment `δ`, it adds `snap(a,c) × δ` to the combined count per `a`.
   * The END event of the last segment updates the result of every window
   * it falls into, restricted to STARTs `a` inside that window
-  * (Fig 6(b) expiration semantics).
+  * (Fig 6(b) expiration semantics); a single-segment query is the case
+  * where every START `a` is the segment's own.
   *
   * The wiring — which segment runtimes a query reads and which runtimes
   * react to an event type — comes from the tables of `cw`, compiled once
   * per workload; an engine only allocates per-key state.
   *
   * Timestamp ties: sequence semantics require strictly increasing times
-  * (Definition 1), so events sharing a timestamp are evaluated against
-  * the state as of strictly-earlier times — reads happen for the whole
-  * tie-batch first, state mutations are committed afterwards.
+  * (Definition 1), so each event is evaluated on arrival against the
+  * counts as of strictly-earlier times. The increments it causes are
+  * committed when time advances; a START joins at once, and the
+  * `s.time < e.time` test keeps it out of its own timestamp.
   */
 final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
   private val win: WindowSpec = cw.window
@@ -42,7 +44,7 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
 
   /** An increment of `delta` to the count at `level` for START `s`: a
     * segment's `s.counts(level)`, or a query's combined count
-    * `comb(level)(s)`. Applied when the tie-batch commits.
+    * `comb(level)(s)`. Applied when time advances.
     */
   final class PendingInc(val s: StartState, val level: Int, val delta: Long)
 
@@ -52,8 +54,7 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
   final class SegmentRuntime(size: Int) {
     // Appended in time order, so expired STARTs form a prefix.
     val starts = mutable.ArrayBuffer.empty[StartState]
-    private var pendingStarts = List.empty[StartState]
-    private var pendingIncs   = List.empty[PendingInc]
+    private var pendingIncs = List.empty[PendingInc]
 
     /** The START created by the last observed event, or null. */
     var newStart: StartState = null
@@ -62,16 +63,15 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
       */
     var ends: List[PendingInc] = Nil
 
-    /** Phase 1: evaluate `e`, whose type is the segment's `level`-th,
-      * against pre-batch state; sets [[newStart]] and [[ends]]. The new
-      * START is not live until [[commit]].
+    /** Evaluates `e`, whose type is the segment's `level`-th, against the
+      * committed counts; sets [[newStart]] and [[ends]].
       */
     def observe(e: Event, level: Int): Unit = {
       newStart = null
       ends = Nil
       if (level == 0) {
         newStart = new StartState(e.time, size)
-        pendingStarts ::= newStart
+        starts += newStart
         metrics.countUpdates += 1
         metrics.addState(size.toLong)
         // A single-type segment completes at its own START event.
@@ -95,10 +95,8 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
       }
     }
 
-    /** Phase 2: make the tie-batch's effects visible. */
+    /** Makes the increments of the last timestamp visible. */
     def commit(): Unit = {
-      pendingStarts.foreach(starts += _)
-      pendingStarts = Nil
       pendingIncs.foreach(p => p.s.counts(p.level) += p.delta)
       pendingIncs = Nil
     }
@@ -138,7 +136,7 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
     private var pendingComb = List.empty[PendingInc]
     val results = mutable.LongMap.empty[Long] // windowStart -> count
 
-    /** Phase 1 for event `e`, whose type lies in this query's `j`-th
+    /** Combines event `e`, whose type lies in this query's `j`-th
       * segment `seg`: the only one of its segments that reacts, since a
       * pattern's types are distinct. Reads [[SegmentRuntime.newStart]] and
       * [[SegmentRuntime.ends]] of `seg` for `e`.
@@ -147,30 +145,19 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
       // 1. Snapshot at a new START of a segment j >= 1 (Fig 7: "when c3
       //    arrives, count(A,B) = 1").
       if (j > 0 && seg.newStart != null) snapshot(j, seg.newStart)
-      // 2. Completions. Level 0 feeds comb(0) directly; level j >= 1
-      //    multiplies against the snapshot taken at its START.
+      // 2. Completions. The last level updates the window results; below
+      //    it, level 0 feeds comb(0) directly and level j >= 1 multiplies
+      //    against the snapshot taken at its START.
       if (seg.ends.nonEmpty) {
-        if (k == 1) endSingle(e, seg.ends)
+        if (j == k - 1) end(e, seg.ends)
         else if (j == 0) seg.ends.foreach(p => pendingComb ::= new PendingInc(p.s, 0, p.delta))
-        else if (j < k - 1)
+        else
           seg.ends.foreach { p =>
             midSnaps(j - 1)(p.s).foreachEntry { (a, pref) =>
               metrics.combMults += 1
               pendingComb ::= new PendingInc(a, j, pref * p.delta)
             }
           }
-        else {
-          val wss = win.windowsOf(e.time)
-          seg.ends.foreach { p =>
-            val sums    = finalSnaps(p.s)
-            val firstWs = win.firstWindowStart(p.s.time)
-            wss.foreach { ws =>
-              metrics.combMults += 1
-              val idx = (ws - firstWs) / win.slideSec
-              if (idx >= 0 && idx < sums.length) addResult(ws, sums(idx.toInt) * p.delta)
-            }
-          }
-        }
       }
     }
 
@@ -200,21 +187,32 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
         midSnaps(j - 1)(c) = snap
       }
 
-    /** Window result updates at the END event of a single-segment query
-      * (§3.2: "when an END event arrives, it updates the final counts for
-      * all windows it falls into"), filtered to STARTs inside the window.
+    /** Window result updates at an END event (§3.2: "when an END event
+      * arrives, it updates the final counts for all windows it falls
+      * into"), one per window. A completion from last-segment START `c`
+      * adds its increment in each window `c` lies in, weighted by 1 when
+      * `c` is the overall START (`k == 1`) and by the snapshot cell of the
+      * overall STARTs inside that window otherwise. Each (START, window)
+      * pair is one work unit, for every `k`.
       */
-    private def endSingle(e: Event, ends: List[PendingInc]): Unit = {
-      val n = ends.size
-      win.windowsOf(e.time).foreach { ws =>
-        // Same work unit as the shared path's per-(START, window)
-        // combination lookups — metered so Non-Shared and Shared costs
-        // are comparable.
-        metrics.combMults += n
-        var sum = 0L
-        ends.foreach(p => if (p.s.time >= ws) sum += p.delta)
-        addResult(ws, sum)
+    private def end(e: Event, ends: List[PendingInc]): Unit = {
+      val wss = win.windowsOf(e.time)
+      val sum = new Array[Long](wss.size)
+      ends.foreach { p =>
+        val c       = p.s
+        val cells   = if (k == 1) null else finalSnaps(c)
+        val firstWs = win.firstWindowStart(c.time)
+        var w = 0
+        while (w < wss.size) {
+          metrics.combMults += 1
+          val ws = wss(w)
+          if (c.time >= ws)
+            sum(w) += p.delta * (if (cells == null) 1L else cells(((ws - firstWs) / win.slideSec).toInt))
+          w += 1
+        }
       }
+      var w = 0
+      while (w < wss.size) { addResult(wss(w), sum(w)); w += 1 }
     }
 
     private def addResult(ws: Long, n: Long): Unit =
@@ -245,54 +243,41 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
   private val queryRuntimes = cw.queries.map(new QueryRuntime(_)).toArray
 
   private var nextExpire = Long.MinValue
+  private var lastTime   = Long.MinValue
 
-  private def processBatch(batch: List[Event]): Unit = {
-    val events = batch.reverse // restore arrival order (cosmetic; ties commute)
-    events.foreach { e =>
-      metrics.events += 1
-      // Phase 1a: each segment runtime holding the type sees the event
-      // once — this is the sharing: shared patterns are aggregated once
-      // (§3.3). Phase 1b: each query reading that segment combines
-      // through it against pre-batch combiner state; a pattern's types
-      // are distinct, so no other segment of the query reacts.
-      cw.segmentsHolding(e.etype).foreach { sl =>
-        val seg = segments(sl.segment)
-        seg.observe(e, sl.level)
-        cw.readers(sl.segment).foreach(r => queryRuntimes(r.query).observe(e, r.position, seg))
-      }
-      // NB: within a tie-batch each event's observe() reads only
-      // pre-batch counts (commits below happen after the whole batch),
-      // preserving the strict e_i.time < e_j.time sequence semantics.
-    }
+  /** Makes the increments of the events at `lastTime` visible. */
+  private def commit(): Unit = {
     segments.foreach(_.commit())
     queryRuntimes.foreach(_.commit())
   }
 
-  private var batch = List.empty[Event]
-  private var lastTime = Long.MinValue
-
   /** Feeds one event; events must arrive in non-decreasing time order.
-    * Same-timestamp events are buffered into a tie-batch that is flushed
-    * when time advances (or at [[results]]/[[emitClosed]]).
+    * The event is evaluated at once; its increments are committed when
+    * time advances (or at [[results]]/[[emitClosed]]).
     */
   def feed(e: Event): Unit = {
     require(e.time >= lastTime, "events must arrive in time order")
-    if (e.time != lastTime && batch.nonEmpty) { processBatch(batch); batch = Nil }
-    lastTime = e.time
+    if (e.time > lastTime) { commit(); lastTime = e.time }
     if (e.time >= nextExpire) {
       segments.foreach(_.expire(e.time))
       queryRuntimes.foreach(_.expire(e.time))
       nextExpire = e.time + win.slideSec
     }
-    batch ::= e
+    metrics.events += 1
+    // Each segment runtime holding the type sees the event once — this is
+    // the sharing: shared patterns are aggregated once (§3.3). Each query
+    // reading that segment combines through it; a pattern's types are
+    // distinct, so no other segment of the query reacts.
+    cw.segmentsHolding(e.etype).foreach { sl =>
+      val seg = segments(sl.segment)
+      seg.observe(e, sl.level)
+      cw.readers(sl.segment).foreach(r => queryRuntimes(r.query).observe(e, r.position, seg))
+    }
   }
 
-  private def flush(): Unit =
-    if (batch.nonEmpty) { processBatch(batch); batch = Nil }
-
-  /** Current per-key window counts of every query (flushes pending ties). */
+  /** Current per-key window counts of every query. */
   def results(): Iterator[QueryWindowCount] = {
-    flush()
+    commit()
     for {
       qr        <- queryRuntimes.iterator
       (ws, cnt) <- qr.results.iterator
@@ -303,7 +288,7 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
     * fully before `watermark` (their results can no longer change).
     */
   def emitClosed(watermark: Long): Vector[QueryWindowCount] = {
-    flush()
+    commit()
     val out = Vector.newBuilder[QueryWindowCount]
     queryRuntimes.foreach { qr =>
       val closed = qr.results.keysIterator

@@ -1,9 +1,11 @@
 package repro.exec
 
+import scala.collection.mutable
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.Candidate
 import repro.core.Model._
+import CompiledPlan.CompiledWorkload
 
 /** The two-step baselines of the paper's §8.2, built on Catalyst
   * DataFrame joins: event sequences are *constructed* (materialized as
@@ -17,6 +19,10 @@ import repro.core.Model._
   *    queries containing them; per-query prefix/suffix matches are built
   *    unshared and joined with the shared relation before counting —
   *    sharing the construction, not the aggregation.
+  *
+  * Both run the compiled plan the online executors follow ([[run]]): the
+  * Flink-like one under the Non-Shared compilation, the SPASS-like one
+  * under the sharing plan.
   */
 object TwoStepExecutors {
 
@@ -30,24 +36,14 @@ object TwoStepExecutors {
 
   /** Constructs the match relation of `pattern` (dictionary-coded types)
     * over windowed events `we(ws, key, time, etype)`: one row per event
-    * sequence, carrying the window, key, and first/last event times.
+    * sequence, carrying the window, key, and first/last event times. Each
+    * event is a one-event match (`t_first = t_last = time`), joined in
+    * pattern order.
     */
-  def matches(we: DataFrame, pattern: Seq[Int]): DataFrame = {
-    require(pattern.nonEmpty)
-    def leg(i: Int): DataFrame =
-      we.filter(col("etype") === pattern(i))
-        .select(col("ws").as(s"ws_$i"), col("key").as(s"key_$i"),
-                col("time").as(s"t_$i"))
-    var df = leg(0).withColumnRenamed("ws_0", "ws").withColumnRenamed("key_0", "key")
-    for (i <- 1 until pattern.size) {
-      val cond: Column = col("ws") === col(s"ws_$i") &&
-        col("key") === col(s"key_$i") &&
-        col(s"t_${i - 1}") < col(s"t_$i")
-      df = df.join(leg(i), cond).drop(s"ws_$i", s"key_$i")
-    }
-    df.select(col("ws"), col("key"),
-      col("t_0").as("t_first"), col(s"t_${pattern.size - 1}").as("t_last"))
-  }
+  def matches(we: DataFrame, pattern: Seq[Int]): DataFrame =
+    joinSegments(pattern.map(t =>
+      we.filter(col("etype") === t)
+        .select(col("ws"), col("key"), col("time").as("t_first"), col("time").as("t_last"))))
 
   /** Joins segment match relations in order (last event of a segment
     * strictly before the first of the next — within-segment order is
@@ -76,69 +72,47 @@ object TwoStepExecutors {
       .agg(count(lit(1)).as("cnt"))
       .select(lit(queryId).as("query_id"), col("window_start"), col("cnt"))
 
-  /** Flink-like executor: non-shared sequence construction + aggregation
-    * per query. `matchesConstructed` counts the materialized sequences —
-    * the step that makes two-step approaches blow up (Fig 13).
+  /** Two-step execution of compiled workload `cw`: the match relation of
+    * each distinct segment is constructed once (persisted) and reused by
+    * every query reading it; each query joins its segments' relations
+    * into full sequences and counts them per window. A relation is
+    * unpersisted once the last query reading it is counted.
+    * `matchesConstructed` counts the materialized segment matches — the
+    * step that makes two-step approaches blow up (Fig 13).
     */
-  def runFlinkLike(spark: SparkSession, events: DataFrame, workload: Workload,
-                   typeIds: Map[EventType, Int]): RunResult = {
+  def run(spark: SparkSession, events: DataFrame, cw: CompiledWorkload): RunResult = {
     val t0 = System.nanoTime()
-    val we = windowed(spark, events, workload.window)
+    val we = windowed(spark, events, cw.window)
     var constructed = 0L
-    val counts = workload.queries.map { q =>
-      val m = matches(we, q.pattern.types.map(typeIds)).persist()
+    val built = mutable.Map.empty[Int, DataFrame]
+    def relation(s: Int): DataFrame = built.getOrElseUpdate(s, {
+      val m = matches(we, cw.segmentTypes(s)).persist()
       constructed += m.count() // sequences are materialized, then aggregated
-      val c = countsOf(q.id, m)
-      val out = c.cache(); out.count(); m.unpersist()
+      m
+    })
+    val lastReader = cw.readers.map(_.map(_.query).max)
+    val counts = cw.queries.indices.map { q =>
+      val segs = cw.querySegments(q)
+      val out  = countsOf(cw.queries(q).id, joinSegments(segs.map(relation))).cache()
+      out.count()
+      segs.filter(lastReader(_) == q).foreach(built(_).unpersist())
       out
     }.reduce(_ union _)
     val materialized = counts.cache(); materialized.count()
     RunResult(materialized, constructed, (System.nanoTime() - t0) / 1e6)
   }
 
+  /** Flink-like executor: non-shared sequence construction + aggregation
+    * per query.
+    */
+  def runFlinkLike(spark: SparkSession, events: DataFrame, workload: Workload,
+                   typeIds: Map[EventType, Int]): RunResult =
+    run(spark, events, CompiledPlan.nonShared(workload, typeIds))
+
   /** SPASS-like executor: match relations of the plan's shared patterns
     * are built once and reused; aggregation stays per query.
     */
   def runSpassLike(spark: SparkSession, events: DataFrame, workload: Workload,
-                   plan: Seq[Candidate], typeIds: Map[EventType, Int]): RunResult = {
-    val t0 = System.nanoTime()
-    val we = windowed(spark, events, workload.window)
-    var constructed = 0L
-    // Shared construction: one persisted match relation per shared pattern.
-    val sharedRel: Map[Pattern, DataFrame] =
-      plan.map(_.pattern).distinct.map { p =>
-        val m = matches(we, p.types.map(typeIds)).persist()
-        constructed += m.count()
-        p -> m
-      }.toMap
-    val counts = workload.queries.map { q =>
-      val spans = plan
-        .filter(_.queryIds.contains(q.id))
-        .map(c => (q.pattern.indexOf(c.pattern).get, c.pattern))
-        .sortBy(_._1)
-      val segs = Vector.newBuilder[DataFrame]
-      val gaps = Vector.newBuilder[DataFrame]
-      var pos  = 0
-      def gapSeg(until: Int): Unit = if (until > pos) {
-        val m = matches(we, q.pattern.types.slice(pos, until).map(typeIds)).persist()
-        constructed += m.count()
-        segs += m; gaps += m
-        pos = until
-      }
-      for ((s, p) <- spans) {
-        gapSeg(s)
-        segs += sharedRel(p)
-        pos = s + p.length
-      }
-      gapSeg(q.pattern.length)
-      val full = joinSegments(segs.result())
-      val c    = countsOf(q.id, full)
-      val out  = c.cache(); out.count()
-      gaps.result().foreach(_.unpersist())
-      out
-    }.reduce(_ union _)
-    val materialized = counts.cache(); materialized.count()
-    sharedRel.values.foreach(_.unpersist())
-    RunResult(materialized, constructed, (System.nanoTime() - t0) / 1e6)
-  }
+                   plan: Seq[Candidate], typeIds: Map[EventType, Int]): RunResult =
+    run(spark, events, CompiledPlan.compile(workload, plan, typeIds))
 }

@@ -24,13 +24,6 @@ object Harness {
   def ms(x: Double): String = f"$x%.1f"
   def ratio(a: Double, b: Double): String = if (b == 0) "-" else f"${a / b}%.2f"
 
-  /** Wall-clock of `body` in milliseconds alongside its value. */
-  def timed[A](body: => A): (A, Double) = {
-    val t0 = System.nanoTime()
-    val a  = body
-    (a, (System.nanoTime() - t0) / 1e6)
-  }
-
   /** A standalone session for the `jobs/` entrypoints (benches reuse the
     * shared SparkSpec session instead).
     */

@@ -189,7 +189,8 @@ class EngineSpec extends AnyFunSuite {
     val win = WindowSpec(12, 4)
     val w   = workloadOf(win, Pattern("A", "B", "C"), Pattern("B", "C", "D"), Pattern("A", "B", "C", "D"))
     val w2  = workloadOf(win, Pattern("A", "B", "C"), Pattern("A", "B", "D"))
-    // 300 events on 81 time points: most timestamps carry a tie-batch.
+    val w3  = workloadOf(win, Pattern("A", "B", "C"), Pattern("A", "B"))
+    // 300 events on 81 time points: most timestamps are shared by several events.
     val events = randomEvents(7L, 300, 80, 4, 1)
     // (events, countUpdates, combMults, peakStateUnits, result cells, Σ counts)
     val pinned = Seq(
@@ -198,7 +199,11 @@ class EngineSpec extends AnyFunSuite {
         Seq(candidate(w2, Pattern("A", "B"), Set(0, 1))), ids), (300L, 736L, 1946L, 211L, 38, 5967L)),
       // q2 = [A] [B,C] [D]: an intermediate and a final combination level.
       "prefix + shared + suffix" -> (CompiledPlan.compile(w,
-        Seq(candidate(w, Pattern("B", "C"), Set(0, 1, 2))), ids), (300L, 1055L, 9820L, 566L, 58, 13859L)))
+        Seq(candidate(w, Pattern("B", "C"), Set(0, 1, 2))), ids), (300L, 1055L, 9820L, 566L, 58, 13859L)),
+      // q0 = [A,B] [C], q1 = [A,B]: one shared segment ends q1 (k == 1)
+      // and feeds q0's combination (k == 2).
+      "query equal to its shared pattern" -> (CompiledPlan.compile(w3,
+        Seq(candidate(w3, Pattern("A", "B"), Set(0, 1))), ids), (300L, 649L, 2420L, 135L, 38, 3628L)))
     for ((name, (cw, expected)) <- pinned) {
       val (res, m) = runEngine(cw, events)
       val actual = (m.events, m.countUpdates, m.combMults, m.peakStateUnits, res.size, res.values.sum)

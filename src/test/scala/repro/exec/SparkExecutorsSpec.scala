@@ -90,6 +90,23 @@ class SparkExecutorsSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     assert(spass == aseq)
   }
 
+  test("SPASS-like counts equal the online engine's with two shared segments in one query") {
+    // q0 = [A] [B,C] [D,E]: the shared (B,C) relation is joined between a
+    // private prefix and the shared (D,E) relation.
+    val ids  = Map[EventType, Int]("A" -> 0, "B" -> 1, "C" -> 2, "D" -> 3, "E" -> 4)
+    val w    = Workload(WindowSpec(12, 4),
+      Seq(Pattern("A", "B", "C", "D", "E"), Pattern("B", "C"), Pattern("D", "E")))
+    val plan = Seq(EngineFixtures.candidate(w, Pattern("B", "C"), Set(0, 1)),
+      EngineFixtures.candidate(w, Pattern("D", "E"), Set(0, 2)))
+    assert(CompiledPlan.compile(w, plan, ids).queries(0).segments.map(_.shared) ==
+      Vector(false, true, true))
+    val ev     = EngineFixtures.randomEvents(1003L, 400, 60, 5, 2).toDS().cache()
+    val online = asMap(OnlineExecutors.runSharon(spark, ev, w, plan, ids).counts)
+    val spass  = asMap(TwoStepExecutors.runSpassLike(spark, ev.toDF(), w, plan, ids).counts)
+    assert(spass == online)
+    assert(online.keys.exists(_._1 == 0), "q0 never matched")
+  }
+
   test("Sharon under the greedy plan also matches A-Seq (plan changes cost, not results)") {
     val greedyPlan = Optimizer.greedy(workload, realRates).plan
     val g   = asMap(OnlineExecutors.runSharon(spark, events, workload, greedyPlan, typeIds).counts)
