@@ -32,12 +32,8 @@ object Fig14OnlineApproaches {
       window: WindowSpec = WindowSpec(60, 6),
       seed: Long = 23)
 
-  final case class Point(x: String, aseqMs: Double, sharonMs: Double,
-                         aseqWork: Long, sharonWork: Long,
-                         aseqMem: Long, sharonMem: Long, events: Long, queries: Int)
-
-  private def point(spark: SparkSession, p: Params,
-                    epw: Int, nq: Int, len: Int, label: String): Point = {
+  private def row(spark: SparkSession, p: Params,
+                  label: String, epw: Int, nq: Int, len: Int): Seq[String] = {
     // A tight alphabet around the pattern length keeps query overlap high
     // (the paper's workloads are "similar to q1–q7": many near-duplicate
     // route slices), which is where sharing pays off.
@@ -56,41 +52,56 @@ object Fig14OnlineApproaches {
     val a = OnlineExecutors.runASeq(spark, events, workload, typeIds)
     val s = OnlineExecutors.runSharon(spark, events, workload, plan, typeIds)
     events.unpersist()
-    Point(label, a.millis, s.millis, a.metrics.workUnits, s.metrics.workUnits,
-      a.metrics.peakStateUnits, s.metrics.peakStateUnits, nEvents, nq)
+    def thr(millis: Double): String = f"${nEvents * nq / (millis / 1000)}%.0f"
+    Seq(label) ++ compared(a.millis, s.millis)(ms) ++ Seq(thr(a.millis), thr(s.millis)) ++
+      compared(a.metrics.workUnits, s.metrics.workUnits)(_.toString) ++
+      compared(a.metrics.peakStateUnits, s.metrics.peakStateUnits)(_.toString)
   }
 
-  private def row(pt: Point): Seq[String] = {
-    def thr(msTotal: Double): String =
-      f"${pt.events * pt.queries / (msTotal / 1000)}%.0f"
-    Seq(pt.x, ms(pt.aseqMs), ms(pt.sharonMs), ratio(pt.aseqMs, pt.sharonMs),
-      thr(pt.aseqMs), thr(pt.sharonMs),
-      pt.aseqWork.toString, pt.sharonWork.toString, ratio(pt.aseqWork.toDouble, pt.sharonWork.toDouble),
-      pt.aseqMem.toString, pt.sharonMem.toString, ratio(pt.aseqMem.toDouble, pt.sharonMem.toDouble))
-  }
-
-  private val header = Seq("x", "A-Seq ms", "Sharon ms", "speedup",
+  val header: Seq[String] = Seq("x", "A-Seq ms", "Sharon ms", "speedup",
     "A-Seq ev/s", "Sharon ev/s", "A-Seq work", "Sharon work", "work ratio",
     "A-Seq mem", "Sharon mem", "mem ratio")
 
-  def runEventsSweep(spark: SparkSession, p: Params = Params()): ExperimentTable =
-    ExperimentTable(
-      "Fig 14(a,e): latency/throughput vs events per window (20 queries, len 10)",
-      header,
-      p.eventsPerWindow.map(e =>
-        row(point(spark, p, e, p.defaultQueries, p.defaultLen, s"epw=$e"))))
+  /** The points of the three sweeps, in order: (label, events/window,
+    * queries, pattern length). The label's prefix names the sweep.
+    */
+  private def sweeps(p: Params): Seq[(String, Int, Int, Int)] =
+    p.eventsPerWindow.map(e => (s"epw=$e", e, p.defaultQueries, p.defaultLen)) ++
+      p.numQueries.map(q => (s"queries=$q", p.defaultEpw, q, p.defaultLen)) ++
+      p.patternLengths.map(l => (s"len=$l", p.defaultEpw, p.defaultQueries, l))
 
-  def runQueriesSweep(spark: SparkSession, p: Params = Params()): ExperimentTable =
+  /** One table holding the three sweeps: events per window (a,e), number
+    * of queries (b,d,f) and pattern length (c,g,h).
+    */
+  def run(spark: SparkSession, p: Params = Params()): ExperimentTable =
     ExperimentTable(
-      "Fig 14(b,d,f): latency/memory vs number of queries (epw=20k, len 10)",
+      "Fig 14: A-Seq vs Sharon, sweeps of events/window (a,e), queries (b,d,f), pattern length (c,g,h)",
       header,
-      p.numQueries.map(q =>
-        row(point(spark, p, p.defaultEpw, q, p.defaultLen, s"queries=$q"))))
+      sweeps(p).map { case (label, epw, nq, len) => row(spark, p, label, epw, nq, len) })
 
-  def runLengthSweep(spark: SparkSession, p: Params = Params()): ExperimentTable =
-    ExperimentTable(
-      "Fig 14(c,g,h): latency/memory vs pattern length (epw=20k, 20 queries)",
-      header,
-      p.patternLengths.map(l =>
-        row(point(spark, p, p.defaultEpw, p.defaultQueries, l, s"len=$l"))))
+  private def workRatios(t: ExperimentTable, sweep: String): Seq[Double] =
+    t.records.filter(_("x").startsWith(s"$sweep=")).map(_("work ratio").toDouble)
+
+  /** The paper's Fig 14 shape on the deterministic work and memory
+    * columns: Sharon never does more work than A-Seq, and its advantage
+    * grows with sharing opportunities.
+    */
+  val checks: Seq[Check] = Seq(
+    onePerPoint("x", sweeps(Params()).map(_._1)),
+    Check("Sharon never adds model work across the query sweep") { t =>
+      expect(workRatios(t, "queries").forall(_ >= 1.0),
+        s"work ratios ${workRatios(t, "queries")} fall below 1.0")
+    },
+    Check("Sharon's work advantage grows with the number of queries") { t =>
+      val r = workRatios(t, "queries")
+      expect(r.last > r.head, s"work ratio ${r.last} at the most queries is not > ${r.head} at the fewest")
+    },
+    Check("Sharon never adds model work across the pattern-length sweep") { t =>
+      expect(workRatios(t, "len").forall(_ >= 1.0),
+        s"work ratios ${workRatios(t, "len")} fall below 1.0")
+    },
+    Check("Sharon uses less peak memory than A-Seq at 80 queries") { t =>
+      val m = t.record("x", "queries=80")("mem ratio").toDouble
+      expect(m > 1.0, s"A-Seq/Sharon memory ratio $m is not > 1.0")
+    })
 }

@@ -56,19 +56,35 @@ object Fig16PlanQuality {
       val g = OnlineExecutors.runSharon(spark, events, w, greedy.plan, typeIds)
       val s = OnlineExecutors.runSharon(spark, events, w, sharon.plan, typeIds)
       events.unpersist()
-      Seq(w.size.toString,
-        f"${greedy.score}%.3g", f"${sharon.score}%.3g",
-        ms(g.millis), ms(s.millis), ratio(g.millis, s.millis),
-        g.metrics.peakStateUnits.toString, s.metrics.peakStateUnits.toString,
-        ratio(g.metrics.peakStateUnits.toDouble, s.metrics.peakStateUnits.toDouble),
-        g.metrics.workUnits.toString, s.metrics.workUnits.toString,
-        ratio(g.metrics.workUnits.toDouble, s.metrics.workUnits.toDouble))
+      Seq(w.size.toString, f"${greedy.score}%.3g", f"${sharon.score}%.3g") ++
+        compared(g.millis, s.millis)(ms) ++
+        compared(g.metrics.peakStateUnits, s.metrics.peakStateUnits)(_.toString) ++
+        compared(g.metrics.workUnits, s.metrics.workUnits)(_.toString)
     }
     ExperimentTable(
-      "Fig 16: executor under greedy vs optimal plan (taxi-like stream)",
-      Seq("queries", "GO score", "SO score", "greedy ms", "optimal ms", "lat ratio",
-        "greedy mem", "optimal mem", "mem ratio",
-        "greedy work", "optimal work", "work ratio"),
-      rows)
+      "Fig 16: executor under greedy vs optimal plan (taxi-like stream)", header, rows)
   }
+
+  val header: Seq[String] = Seq("queries", "GO score", "SO score",
+    "greedy ms", "optimal ms", "lat ratio", "greedy mem", "optimal mem", "mem ratio",
+    "greedy work", "optimal work", "work ratio")
+
+  private def workRatios(t: ExperimentTable): Seq[Double] =
+    t.records.map(_("work ratio").toDouble)
+
+  /** The paper's Fig 16 shape: the optimal plan scores at least the
+    * greedy one, and the executor it guides never does more work.
+    */
+  val checks: Seq[Check] = Seq(
+    onePerPoint("queries", Params().numClusters.map(7 * _)),
+    Check("the optimal plan's score is never below the greedy plan's") { t =>
+      t.records.filterNot(r => r("SO score").toDouble + 1e-6 >= r("GO score").toDouble)
+        .map(r => s"SO ${r("SO score")} < GO ${r("GO score")} at ${r("queries")} queries")
+    },
+    Check("the optimal plan does not add model work") { t =>
+      expect(workRatios(t).forall(_ >= 0.95), s"greedy/optimal work ratios ${workRatios(t)} fall below 0.95")
+    },
+    Check("the optimal plan saves work somewhere in the sweep") { t =>
+      expect(workRatios(t).max > 1.0, s"greedy/optimal work ratios ${workRatios(t)} never exceed 1.0")
+    })
 }

@@ -80,14 +80,6 @@ object StreamGen {
     ).as[Event]
   }
 
-  /** E-commerce stand-in with the paper's §8.1 parameters: 50 items,
-    * 20 customers, 3k events/s.
-    */
-  def ecommerce(spark: SparkSession, durationSec: Long, eventsPerSec: Long = 3000,
-                seed: Long = 13): Dataset[Event] =
-    uniform(spark, durationSec * eventsPerSec, durationSec,
-      numTypes = 50, numKeys = 20, seed = seed)
-
   /** Expected per-type rates (events/sec) of [[uniform]] streams — the
     * optimizer's cost-model input (Eq 1).
     */

@@ -15,6 +15,14 @@ class HarnessSpec extends AnyFunSuite {
     assert(lines.size == 5)
   }
 
+  test("JSON round trip returns the same table, one row per line") {
+    val t = ExperimentTable("Fig \"x\" \u2014 a\\b", Seq("a", "b"), Seq(Seq("1", ""), Seq("q1,q2", "DNF")))
+    assert(ExperimentTable.fromJson(t.toJson) == t)
+    assert(t.toJson.linesIterator.count(_.startsWith("    [")) == 2)
+    val empty = ExperimentTable("e", Seq("a"), Nil)
+    assert(ExperimentTable.fromJson(empty.toJson) == empty)
+  }
+
   test("ms formats one decimal") {
     assert(ms(12.345) == "12.3")
   }
