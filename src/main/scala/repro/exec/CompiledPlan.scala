@@ -11,22 +11,11 @@ import repro.core.Candidate
   * Each query's pattern is decomposed into contiguous *segments*: the
   * shared patterns assigned to it by the plan, plus unshared gap segments
   * (the `prefix`/`suffix` of Definition 4, generalized to multiple shared
-  * patterns per query). Segments carry a `shareKey`: shared segments of
-  * the same pattern map to one runtime state reused by all subscribing
-  * queries; private segments are keyed per query and position.
+  * patterns per query). All queries assigned one shared pattern read one
+  * distinct segment, so one runtime state serves them all; each gap
+  * segment is distinct and read by its query alone.
   */
 object CompiledPlan {
-
-  /** One segment of a query's decomposition. `types` are dictionary-coded
-    * event types (see [[typeDictionary]]).
-    */
-  final case class CompiledSegment(shareKey: String, types: Vector[Int], shared: Boolean) {
-    require(types.nonEmpty)
-  }
-
-  final case class CompiledQuery(id: Int, segments: Vector[CompiledSegment]) {
-    require(segments.nonEmpty)
-  }
 
   /** A type's place in a distinct segment: `segment` indexes
     * [[CompiledWorkload.segmentTypes]], `level` is the position in it.
@@ -34,33 +23,33 @@ object CompiledPlan {
   final case class SegmentLevel(segment: Int, level: Int)
 
   /** A reader of a distinct segment: `query` indexes
-    * [[CompiledWorkload.queries]], `position` is the segment's index among
+    * [[CompiledWorkload.queryIds]], `position` is the segment's index among
     * the query's segments.
     */
   final case class QuerySegment(query: Int, position: Int)
 
-  /** A compiled workload. Its body builds, once at compile time, the
+  /** A compiled workload: the distinct segments and each query's
+    * decomposition into them. Its body builds, once at compile time, the
     * wiring every key group's engine follows, so an engine only allocates
     * per-key state.
+    *
+    * @param queryIds      the workload's query ids, in workload order
+    * @param segmentTypes  the dictionary-coded types (see [[typeDictionary]])
+    *                      of each distinct segment: one aggregation state
+    *                      each, however many queries read it
+    * @param querySegments `querySegments(q)(j)`: index into `segmentTypes`
+    *                      of query `q`'s `j`-th segment
     */
   final case class CompiledWorkload(window: WindowSpec,
-                                    queries: Vector[CompiledQuery],
-                                    typeIds: Map[EventType, Int]) extends Serializable {
-    /** `querySegments(q)(j)`: index into [[segmentTypes]] of query `q`'s
-      * `j`-th segment; distinct segments are numbered by first use.
-      */
-    val querySegments: Vector[Vector[Int]] = {
-      val index = mutable.HashMap.empty[String, Int]
-      queries.map(_.segments.map(s => index.getOrElseUpdate(s.shareKey, index.size)))
-    }
+                                    queryIds: Vector[Int],
+                                    segmentTypes: Vector[Vector[Int]],
+                                    querySegments: Vector[Vector[Int]]) extends Serializable {
+    require(querySegments.size == queryIds.size && querySegments.forall(_.nonEmpty) &&
+      segmentTypes.forall(_.nonEmpty), "every query and every segment is non-empty")
 
-    /** Type vectors of the distinct segments (one per share-key): one
-      * aggregation state each, however many queries read it.
+    /** `readers(s)`: the queries that read distinct segment `s`; a segment
+      * is shared exactly when it has more than one reader.
       */
-    val segmentTypes: Vector[Vector[Int]] =
-      queries.flatMap(_.segments).distinctBy(_.shareKey).map(_.types)
-
-    /** `readers(s)`: the queries that read distinct segment `s`. */
     val readers: Array[List[QuerySegment]] = Array.fill(segmentTypes.size)(Nil)
     for (q <- querySegments.indices; j <- querySegments(q).indices)
       readers(querySegments(q)(j)) ::= QuerySegment(q, j)
@@ -77,8 +66,8 @@ object CompiledPlan {
     def segmentsHolding(etype: Int): List[SegmentLevel] =
       if (etype >= 0 && etype < segmentsByType.length) segmentsByType(etype) else Nil
 
-    /** Distinct segment share-keys — the number of aggregation states the
-      * executor maintains (fewer = more sharing).
+    /** The number of aggregation states the executor maintains per key
+      * (fewer = more sharing).
       */
     def distinctSegments: Int = segmentTypes.size
   }
@@ -94,11 +83,20 @@ object CompiledPlan {
     * (A-Seq, §3.2); with a plan, queries covered by shared candidates get
     * `prefix / shared / suffix` segments (§3.3). Plans must be valid
     * (Definition 7): shared patterns assigned to one query cannot overlap.
+    *
+    * Distinct segments are numbered by first use, walking the queries and
+    * each query's segments in order.
     */
   def compile(workload: Workload,
               plan: Seq[Candidate],
               typeIds: Map[EventType, Int]): CompiledWorkload = {
-    val queries = workload.queries.map { q =>
+    val segmentTypes = mutable.ArrayBuffer.empty[Vector[Int]]
+    def newSegment(types: Vector[EventType]): Int = {
+      segmentTypes += types.map(typeIds)
+      segmentTypes.size - 1
+    }
+    val sharedSegment = mutable.HashMap.empty[Pattern, Int]
+    val querySegments = workload.queries.map { q =>
       // Shared patterns of this query, with their (unique) occurrence span.
       val spans = plan.iterator
         .filter(_.queryIds.contains(q.id))
@@ -113,26 +111,23 @@ object CompiledPlan {
           require(e1 <= s2, s"overlapping shared patterns $p1/$p2 in $q — invalid plan")
         case _ => ()
       }
-      val segments = Vector.newBuilder[CompiledSegment]
+      val segments = Vector.newBuilder[Int]
       var pos      = 0
-      var gapIdx   = 0
       def gap(until: Int): Unit =
         if (until > pos) {
-          val ts = q.pattern.types.slice(pos, until)
-          segments += CompiledSegment(s"q${q.id}#$gapIdx", ts.map(typeIds), shared = false)
-          gapIdx += 1
+          segments += newSegment(q.pattern.types.slice(pos, until))
           pos = until
         }
       for ((s, e, p) <- spans) {
         gap(s)
-        segments += CompiledSegment("shared:" + p.types.mkString(","),
-          p.types.map(typeIds), shared = true)
+        segments += sharedSegment.getOrElseUpdate(p, newSegment(p.types))
         pos = e
       }
       gap(q.pattern.length)
-      CompiledQuery(q.id, segments.result())
+      segments.result()
     }
-    CompiledWorkload(workload.window, queries, typeIds)
+    CompiledWorkload(workload.window, workload.queries.map(_.id),
+      segmentTypes.toVector, querySegments)
   }
 
   /** The Non-Shared (A-Seq) compilation: no sharing at all. */

@@ -2,7 +2,7 @@ package repro.exec
 
 import scala.collection.mutable
 import repro.core.Model.WindowSpec
-import CompiledPlan._
+import CompiledPlan.CompiledWorkload
 
 /** The Sharon runtime engine for one key group (paper §3) — shared online
   * event sequence aggregation without sequence construction.
@@ -29,6 +29,9 @@ import CompiledPlan._
   * counts as of strictly-earlier times. The increments it causes are
   * committed when time advances; a START joins at once, and the
   * `s.time < e.time` test keeps it out of its own timestamp.
+  *
+  * Counts are exact: every count add and multiply throws
+  * `ArithmeticException` on `Long` overflow instead of wrapping.
   */
 final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
   private val win: WindowSpec = cw.window
@@ -97,7 +100,7 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
 
     /** Makes the increments of the last timestamp visible. */
     def commit(): Unit = {
-      pendingIncs.foreach(p => p.s.counts(p.level) += p.delta)
+      pendingIncs.foreach(p => p.s.counts(p.level) = Math.addExact(p.s.counts(p.level), p.delta))
       pendingIncs = Nil
     }
 
@@ -112,11 +115,11 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
     }
   }
 
-  /** Count-combination state of one query over its `k` segments (§3.3).
-    * Level `j` corresponds to the combined pattern `C_j = S_1..S_j`.
+  /** Count-combination state of query `id` over its `k` segments
+    * (§3.3). Level `j` corresponds to the combined pattern
+    * `C_j = S_1..S_j`.
     */
-  final class QueryRuntime(val q: CompiledQuery) {
-    private val k = q.segments.size
+  final class QueryRuntime(val id: Int, k: Int) {
     // comb(j), j < k-1: overall START `a` -> number of completed `C_{j+1}`
     // matches. The last level only feeds window results, so it has none.
     private val comb = Array.fill(k - 1)(mutable.AnyRefMap.empty[StartState, Long])
@@ -155,7 +158,7 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
           seg.ends.foreach { p =>
             midSnaps(j - 1)(p.s).foreachEntry { (a, pref) =>
               metrics.combMults += 1
-              pendingComb ::= new PendingInc(a, j, pref * p.delta)
+              pendingComb ::= new PendingInc(a, j, Math.multiplyExact(pref, p.delta))
             }
           }
       }
@@ -170,12 +173,13 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
           if (n > 0 && a.time >= firstWs) {
             touched += 1
             // `a` lies in every window of `c` that starts at or before a.time.
-            sums(math.min(sums.length - 1, ((a.time - firstWs) / win.slideSec).toInt)) += n
+            val i = math.min(sums.length - 1, ((a.time - firstWs) / win.slideSec).toInt)
+            sums(i) = Math.addExact(sums(i), n)
           }
         }
         // Per-slide buckets to suffix sums: sums(i) = Σ_{p >= i} bucket(p).
         var i = sums.length - 2
-        while (i >= 0) { sums(i) += sums(i + 1); i -= 1 }
+        while (i >= 0) { sums(i) = Math.addExact(sums(i), sums(i + 1)); i -= 1 }
         metrics.combMults += math.max(1, touched + sums.length)
         metrics.addState(sums.length.toLong + 1)
         finalSnaps(c) = sums
@@ -206,8 +210,10 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
         while (w < wss.size) {
           metrics.combMults += 1
           val ws = wss(w)
-          if (c.time >= ws)
-            sum(w) += p.delta * (if (cells == null) 1L else cells(((ws - firstWs) / win.slideSec).toInt))
+          if (c.time >= ws) {
+            val weight = if (cells == null) 1L else cells(((ws - firstWs) / win.slideSec).toInt)
+            sum(w) = Math.addExact(sum(w), Math.multiplyExact(p.delta, weight))
+          }
           w += 1
         }
       }
@@ -218,13 +224,13 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
     private def addResult(ws: Long, n: Long): Unit =
       if (n != 0) {
         if (!results.contains(ws)) metrics.addState(1)
-        results(ws) = results.getOrElse(ws, 0L) + n
+        results(ws) = Math.addExact(results.getOrElse(ws, 0L), n)
       }
 
     def commit(): Unit = {
       pendingComb.foreach { p =>
         if (!comb(p.level).contains(p.s)) metrics.addState(1)
-        comb(p.level)(p.s) = comb(p.level).getOrElse(p.s, 0L) + p.delta
+        comb(p.level)(p.s) = Math.addExact(comb(p.level).getOrElse(p.s, 0L), p.delta)
       }
       pendingComb = Nil
     }
@@ -240,7 +246,8 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
   }
 
   private val segments = cw.segmentTypes.map(ts => new SegmentRuntime(ts.size)).toArray
-  private val queryRuntimes = cw.queries.map(new QueryRuntime(_)).toArray
+  private val queryRuntimes =
+    cw.queryIds.lazyZip(cw.querySegments).map((id, segs) => new QueryRuntime(id, segs.size)).toArray
 
   private var nextExpire = Long.MinValue
   private var lastTime   = Long.MinValue
@@ -281,7 +288,7 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
     for {
       qr        <- queryRuntimes.iterator
       (ws, cnt) <- qr.results.iterator
-    } yield QueryWindowCount(qr.q.id, ws, cnt)
+    } yield QueryWindowCount(qr.id, ws, cnt)
   }
 
   /** Streaming emission: returns and forgets the counts of all windows
@@ -294,7 +301,7 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
       val closed = qr.results.keysIterator
         .filter(ws => ws + win.lengthSec <= watermark).toList
       closed.foreach { ws =>
-        out += QueryWindowCount(qr.q.id, ws, qr.results(ws))
+        out += QueryWindowCount(qr.id, ws, qr.results(ws))
         qr.results.remove(ws)
         metrics.removeState(1)
       }

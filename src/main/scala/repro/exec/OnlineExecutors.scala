@@ -3,9 +3,7 @@ package repro.exec
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.util.AccumulatorV2
-import repro.core.Candidate
-import repro.core.Model._
-import CompiledPlan._
+import CompiledPlan.CompiledWorkload
 
 /** Spark accumulator merging [[EngineMetrics]] across key-group tasks. */
 final class MetricsAccumulator extends AccumulatorV2[EngineMetrics, EngineMetrics] {
@@ -73,16 +71,4 @@ object OnlineExecutors {
     val ms = (System.nanoTime() - t0) / 1e6
     RunResult(materialized, acc.value, ms)
   }
-
-  /** Non-Shared method for the whole workload — A-Seq (§3.2): every query
-    * evaluated independently, no shared segments.
-    */
-  def runASeq(spark: SparkSession, events: Dataset[Event], workload: Workload,
-              typeIds: Map[EventType, Int]): RunResult =
-    run(spark, events, CompiledPlan.nonShared(workload, typeIds))
-
-  /** Sharon executor (§3.3): workload evaluated under a sharing plan. */
-  def runSharon(spark: SparkSession, events: Dataset[Event], workload: Workload,
-                plan: Seq[Candidate], typeIds: Map[EventType, Int]): RunResult =
-    run(spark, events, CompiledPlan.compile(workload, plan, typeIds))
 }

@@ -42,7 +42,7 @@ object StructuredSharon {
       engines.values.foreach { eng =>
         eng.emitClosed(watermark).foreach { r =>
           val k = (r.queryId, r.windowStart)
-          emittedAgg(k) = emittedAgg.getOrElse(k, 0L) + r.count
+          emittedAgg(k) = Math.addExact(emittedAgg.getOrElse(k, 0L), r.count)
           emissionBatch.getOrElseUpdate(k, batchId)
         }
       }

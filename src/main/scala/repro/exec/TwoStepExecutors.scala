@@ -3,8 +3,7 @@ package repro.exec
 import scala.collection.mutable
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.Candidate
-import repro.core.Model._
+import repro.core.Model.WindowSpec
 import CompiledPlan.CompiledWorkload
 
 /** The two-step baselines of the paper's §8.2, built on Catalyst
@@ -91,9 +90,9 @@ object TwoStepExecutors {
       m
     })
     val lastReader = cw.readers.map(_.map(_.query).max)
-    val counts = cw.queries.indices.map { q =>
+    val counts = cw.queryIds.indices.map { q =>
       val segs = cw.querySegments(q)
-      val out  = countsOf(cw.queries(q).id, joinSegments(segs.map(relation))).cache()
+      val out  = countsOf(cw.queryIds(q), joinSegments(segs.map(relation))).cache()
       out.count()
       segs.filter(lastReader(_) == q).foreach(built(_).unpersist())
       out
@@ -101,18 +100,4 @@ object TwoStepExecutors {
     val materialized = counts.cache(); materialized.count()
     RunResult(materialized, constructed, (System.nanoTime() - t0) / 1e6)
   }
-
-  /** Flink-like executor: non-shared sequence construction + aggregation
-    * per query.
-    */
-  def runFlinkLike(spark: SparkSession, events: DataFrame, workload: Workload,
-                   typeIds: Map[EventType, Int]): RunResult =
-    run(spark, events, CompiledPlan.nonShared(workload, typeIds))
-
-  /** SPASS-like executor: match relations of the plan's shared patterns
-    * are built once and reused; aggregation stays per query.
-    */
-  def runSpassLike(spark: SparkSession, events: DataFrame, workload: Workload,
-                   plan: Seq[Candidate], typeIds: Map[EventType, Int]): RunResult =
-    run(spark, events, CompiledPlan.compile(workload, plan, typeIds))
 }

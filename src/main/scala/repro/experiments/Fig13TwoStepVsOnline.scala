@@ -32,14 +32,15 @@ object Fig13TwoStepVsOnline {
     val workload = WorkloadGen.traffic(p.window)
     val typeIds  = CompiledPlan.typeDictionary(workload)
     val nTypes   = typeIds.size
+    val aseq     = CompiledPlan.nonShared(workload, typeIds)
     val duration = p.window.lengthSec * 2
     // Warm up Spark/JIT so the first measured point is not inflated by
     // classloading and first-job overheads.
     locally {
       val ev = StreamGen.linearRoadLike(spark, 100, duration, nTypes, p.numKeys, 1).cache()
       ev.count()
-      OnlineExecutors.runASeq(spark, ev, workload, typeIds)
-      TwoStepExecutors.runFlinkLike(spark, ev.toDF(), workload, typeIds)
+      OnlineExecutors.run(spark, ev, aseq)
+      TwoStepExecutors.run(spark, ev.toDF(), aseq)
       ev.unpersist()
     }
     val rows = p.eventsPerWindow.map { epw =>
@@ -51,20 +52,20 @@ object Fig13TwoStepVsOnline {
       // Per-window rate units (see StreamGen.perWindowRates).
       val rates = Rates(typeIds.map { case (n, _) =>
         n -> epw.toDouble / nTypes })
-      val plan = Optimizer.sharon(workload, rates).plan
+      val sharon = CompiledPlan.compile(workload, Optimizer.sharon(workload, rates).plan, typeIds)
 
       def thr(msTotal: Double): String =
         if (msTotal <= 0) "-" else f"${nEvents * workload.size / (msTotal / 1000)}%.0f"
 
       val (aseqMs, sharonMs) = {
-        val a = OnlineExecutors.runASeq(spark, events, workload, typeIds)
-        val s = OnlineExecutors.runSharon(spark, events, workload, plan, typeIds)
+        val a = OnlineExecutors.run(spark, events, aseq)
+        val s = OnlineExecutors.run(spark, events, sharon)
         (a.millis, s.millis)
       }
       val (flink, spass) =
         if (epw > p.twoStepCutoff) (None, None)
-        else (Some(TwoStepExecutors.runFlinkLike(spark, eventsDf, workload, typeIds)),
-          Some(TwoStepExecutors.runSpassLike(spark, eventsDf, workload, plan, typeIds)))
+        else (Some(TwoStepExecutors.run(spark, eventsDf, aseq)),
+          Some(TwoStepExecutors.run(spark, eventsDf, sharon)))
       events.unpersist()
       def twoStep(cell: TwoStepExecutors.RunResult => String) =
         Seq(flink, spass).map(_.map(cell).getOrElse("DNF"))

@@ -49,8 +49,8 @@ object Fig14OnlineApproaches {
       maxOptions = 64, maxLevelWidth = 50000).plan
     val events = StreamGen.uniform(spark, nEvents, duration, nTypes, p.numKeys, p.seed).cache()
     events.count()
-    val a = OnlineExecutors.runASeq(spark, events, workload, typeIds)
-    val s = OnlineExecutors.runSharon(spark, events, workload, plan, typeIds)
+    val a = OnlineExecutors.run(spark, events, CompiledPlan.nonShared(workload, typeIds))
+    val s = OnlineExecutors.run(spark, events, CompiledPlan.compile(workload, plan, typeIds))
     events.unpersist()
     def thr(millis: Double): String = f"${nEvents * nq / (millis / 1000)}%.0f"
     Seq(label) ++ compared(a.millis, s.millis)(ms) ++ Seq(thr(a.millis), thr(s.millis)) ++

@@ -30,18 +30,28 @@ object Fig16PlanQuality {
       soMaxLevelWidth: Long = 50000,
       seed: Long = 31)
 
+  /** The `numClusters`-cluster workload and its cost-model rates. */
+  def workload(numClusters: Int, p: Params): (Workload, Rates) = {
+    val w       = WorkloadGen.trafficClusters(numClusters, p.window)
+    // Cost-model rates are per (window, key): the executor's state is
+    // partitioned by the [vehicle] predicate, so per-key magnitudes
+    // are what balance the quadratic vs cubic terms of Eqs 2–5.
+    val profile = WorkloadGen.trafficClusterRates
+    (w, Rates(CompiledPlan.typeDictionary(w).keys.map { t =>
+      t -> profile(t.dropWhile(_ != '_').drop(1))
+    }.toMap))
+  }
+
+  /** The greedy (GO) and the optimal (SO) plan of `w` under `rates`. */
+  def plans(w: Workload, rates: Rates, p: Params): (Optimizer.Result, Optimizer.Result) =
+    (Optimizer.greedy(w, rates),
+      Optimizer.sharon(w, rates, maxOptions = p.maxOptions, maxLevelWidth = p.soMaxLevelWidth))
+
   def run(spark: SparkSession, p: Params = Params()): ExperimentTable = {
     val duration = p.window.lengthSec * 2
     val rows = p.numClusters.map { nc =>
-      val w       = WorkloadGen.trafficClusters(nc, p.window)
+      val (w, rates) = workload(nc, p)
       val typeIds = CompiledPlan.typeDictionary(w)
-      // Cost-model rates are per (window, key): the executor's state is
-      // partitioned by the [vehicle] predicate, so per-key magnitudes
-      // are what balance the quadratic vs cubic terms of Eqs 2–5.
-      val profile = WorkloadGen.trafficClusterRates
-      val rates = Rates(typeIds.keys.map { t =>
-        t -> profile(t.dropWhile(_ != '_').drop(1))
-      }.toMap)
       val epw     = rates.perType.values.sum * p.numKeys
       val nEvents = (epw * duration / p.window.lengthSec).toLong
       // Weighted stream matching the rate profile (dictionary order).
@@ -50,13 +60,13 @@ object Fig16PlanQuality {
       val events = StreamGen.weighted(spark, nEvents, duration, weights,
         p.numKeys, p.seed).cache()
       events.count()
-      val greedy = Optimizer.greedy(w, rates)
-      val sharon = Optimizer.sharon(w, rates,
-        maxOptions = p.maxOptions, maxLevelWidth = p.soMaxLevelWidth)
-      val g = OnlineExecutors.runSharon(spark, events, w, greedy.plan, typeIds)
-      val s = OnlineExecutors.runSharon(spark, events, w, sharon.plan, typeIds)
+      val (greedy, sharon) = plans(w, rates, p)
+      val g = OnlineExecutors.run(spark, events, CompiledPlan.compile(w, greedy.plan, typeIds))
+      val s = OnlineExecutors.run(spark, events, CompiledPlan.compile(w, sharon.plan, typeIds))
       events.unpersist()
-      Seq(w.size.toString, f"${greedy.score}%.3g", f"${sharon.score}%.3g") ++
+      // Scores in full (round-trip) precision, so the score check compares
+      // the optimizer's values rather than rounded ones.
+      Seq(w.size.toString, greedy.score.toString, sharon.score.toString) ++
         compared(g.millis, s.millis)(ms) ++
         compared(g.metrics.peakStateUnits, s.metrics.peakStateUnits)(_.toString) ++
         compared(g.metrics.workUnits, s.metrics.workUnits)(_.toString)

@@ -80,14 +80,6 @@ object StreamGen {
     ).as[Event]
   }
 
-  /** Expected per-type rates (events/sec) of [[uniform]] streams — the
-    * optimizer's cost-model input (Eq 1).
-    */
-  def uniformRates(numEvents: Long, durationSec: Long, numTypes: Int): Rates =
-    Rates((0 until numTypes).map { i =>
-      typeName(i) -> numEvents.toDouble / durationSec / numTypes
-    }.toMap)
-
   /** Per-type rates in events **per window**. This is the unit that makes
     * the paper's cost model dimensionally consistent: with per-window
     * rates, the quadratic terms (Eqs 2, 4) count per-window count

@@ -5,8 +5,8 @@ import repro.workload.{StreamGen, WorkloadGen}
 
 /** Deterministic "random" Sharon graphs for property-style tests: a
   * synthetic workload of overlapping patterns per seed, turned into a
-  * graph by Algorithm 1. (The scalatest/scalacheck bridge artifact is not
-  * available offline, so properties iterate explicit seed ranges.)
+  * graph by Algorithm 1. Properties iterate explicit seed ranges, so
+  * every run checks the same cases.
   */
 object RandomGraphs {
 

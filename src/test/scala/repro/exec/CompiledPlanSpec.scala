@@ -17,6 +17,9 @@ class CompiledPlanSpec extends AnyFunSuite {
   ))
   private val ids = typeDictionary(w)
 
+  /** A distinct segment is shared exactly when several queries read it. */
+  private def shared(cw: CompiledWorkload)(s: Int): Boolean = cw.readers(s).size > 1
+
   test("type dictionary is dense and sorted") {
     assert(ids.values.toSeq.sorted == (0 until ids.size))
     assert(ids.keySet == Set("A", "B", "C", "D", "E"))
@@ -24,29 +27,42 @@ class CompiledPlanSpec extends AnyFunSuite {
 
   test("non-shared compilation: one private whole-pattern segment per query") {
     val cw = CompiledPlan.nonShared(w, ids)
-    assert(cw.queries.forall(_.segments.size == 1))
-    assert(cw.queries.forall(q => !q.segments.head.shared))
+    assert(cw.querySegments.forall(_.size == 1))
+    assert(cw.querySegments.flatten.forall(!shared(cw)(_)))
     assert(cw.distinctSegments == 3)
   }
 
   test("shared pattern becomes one segment reused across queries") {
     val plan = Seq(candidate(w, Pattern("B", "C"), Set(0, 1)))
     val cw   = CompiledPlan.compile(w, plan, ids)
-    val keys = cw.queries.map(_.segments.filter(_.shared).map(_.shareKey))
-    assert(keys(0) == keys(1)) // same shared runtime
-    assert(keys(2).isEmpty)    // q2 does not share
+    val sharedOf = cw.querySegments.map(_.filter(shared(cw)))
+    assert(sharedOf(0).size == 1 && sharedOf(0) == sharedOf(1)) // same shared runtime
+    assert(sharedOf(2).isEmpty)                                 // q2 does not share
     // q0 = [A] [B,C] [D]; q1 = [B,C] [E].
-    assert(cw.queries(0).segments.map(_.types) ==
+    assert(cw.querySegments(0).map(cw.segmentTypes) ==
       Vector(Vector(ids("A")), Vector(ids("B"), ids("C")), Vector(ids("D"))))
-    assert(cw.queries(1).segments.map(_.types) ==
+    assert(cw.querySegments(1).map(cw.segmentTypes) ==
       Vector(Vector(ids("B"), ids("C")), Vector(ids("E"))))
   }
 
   test("sharing reduces the number of distinct segment states") {
     val plan = Seq(candidate(w, Pattern("B", "C"), Set(0, 1)))
     val cw   = CompiledPlan.compile(w, plan, ids)
-    // q0: A | BC | D; q1: BC | E; q2: AB -> segments {q0#0, shared:BC, q0#1, q1#0, q2#0} = 5
+    // q0: A | BC | D; q1: BC | E; q2: AB -> segments {A, BC, D, E, AB} = 5
     assert(cw.distinctSegments == 5)
+  }
+
+  test("distinct segments are numbered by first use, queries and segments in order") {
+    val plan = Seq(candidate(w, Pattern("B", "C"), Set(0, 1)))
+    val cw   = CompiledPlan.compile(w, plan, ids)
+    def types(ts: String*): Vector[Int] = ts.map(ids).toVector
+    assert(cw.queryIds == Vector(0, 1, 2))
+    assert(cw.segmentTypes ==
+      Vector(types("A"), types("B", "C"), types("D"), types("E"), types("A", "B")))
+    assert(cw.querySegments == Vector(Vector(0, 1, 2), Vector(1, 3), Vector(4)))
+    assert(cw.readers.map(_.toSet).toSeq == Seq(
+      Set(QuerySegment(0, 0)), Set(QuerySegment(0, 1), QuerySegment(1, 0)),
+      Set(QuerySegment(0, 2)), Set(QuerySegment(1, 1)), Set(QuerySegment(2, 0))))
   }
 
   test("a query equal to the shared pattern has a single shared segment") {
@@ -54,7 +70,7 @@ class CompiledPlanSpec extends AnyFunSuite {
     val ids2 = typeDictionary(w2)
     val plan = Seq(candidate(w2, Pattern("A", "B"), Set(0, 1)))
     val cw   = CompiledPlan.compile(w2, plan, ids2)
-    assert(cw.queries(0).segments.map(s => (s.shared, s.types)) ==
+    assert(cw.querySegments(0).map(s => (shared(cw)(s), cw.segmentTypes(s))) ==
       Vector((true, Vector(ids2("A"), ids2("B")))))
   }
 
@@ -66,7 +82,7 @@ class CompiledPlanSpec extends AnyFunSuite {
       candidate(w2, Pattern("A", "B"), Set(0, 1)),
       candidate(w2, Pattern("C", "D"), Set(0, 2)))
     val cw = CompiledPlan.compile(w2, plan, ids2)
-    assert(cw.queries(0).segments.map(_.shared) == Vector(true, true))
+    assert(cw.querySegments(0).map(shared(cw)) == Vector(true, true))
     assert(cw.distinctSegments == 2) // both patterns fully shared
   }
 

@@ -118,7 +118,7 @@ class EngineSpec extends AnyFunSuite {
     val plan = Seq(candidate(w, Pattern("A", "B"), Set(0, 1)))
     val cw   = CompiledPlan.compile(w, plan, ids)
     // q0 = shared (A,B) + private gap (C) of length 1.
-    assert(cw.queries(0).segments.map(_.types) == Vector(Vector(0, 1), Vector(2)))
+    assert(cw.querySegments(0).map(cw.segmentTypes) == Vector(Vector(0, 1), Vector(2)))
     val events = Seq(ev(1, "A"), ev(2, "B"), ev(3, "C"), ev(4, "C"))
     val (res, _) = runEngine(cw, events)
     assert(res((0, 0L)) == 2)
@@ -130,7 +130,7 @@ class EngineSpec extends AnyFunSuite {
     val w   = workloadOf(win, Pattern("A", "B", "C", "D"), Pattern("B", "C"))
     val plan = Seq(candidate(w, Pattern("B", "C"), Set(0, 1)))
     val cw   = CompiledPlan.compile(w, plan, ids)
-    assert(cw.queries(0).segments.map(_.types) ==
+    assert(cw.querySegments(0).map(cw.segmentTypes) ==
       Vector(Vector(0), Vector(1, 2), Vector(3)))
     val events = Seq(ev(1, "A"), ev(2, "B"), ev(3, "C"), ev(4, "D"),
       ev(5, "B"), ev(6, "C"), ev(7, "D"))
@@ -209,6 +209,22 @@ class EngineSpec extends AnyFunSuite {
       val actual = (m.events, m.countUpdates, m.combMults, m.peakStateUnits, res.size, res.values.sum)
       assert(actual == expected, name)
     }
+  }
+
+  test("a count beyond Long.MaxValue fails the run instead of wrapping") {
+    // One key, 80 events of each of ten types in type order: the length-10
+    // query has 80^10 ≈ 1.07e19 matches in the one window, more than a Long holds.
+    val types = (0 until 10).map(i => s"T$i")
+    val ids10 = types.zipWithIndex.toMap
+    val events = for (i <- 0 until 10; j <- 0 until 80) yield Event(0L, i * 80L + j, i)
+    val win  = WindowSpec(1000, 1000)
+    val w    = workloadOf(win, Pattern(types.toVector), Pattern(types.take(2).toVector))
+    val plans = Seq(
+      "A-Seq" -> CompiledPlan.nonShared(w, ids10),
+      "one shared segment" -> CompiledPlan.compile(w,
+        Seq(candidate(w, Pattern(types.take(2).toVector), Set(0, 1))), ids10))
+    for ((name, cw) <- plans)
+      withClue(name)(intercept[ArithmeticException](runEngine(cw, events)))
   }
 
   test("expiration prunes state on long streams (streaming emission)") {

@@ -39,7 +39,6 @@ class SparkExecutorsSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   private lazy val windowsDf: DataFrame =
     OracleSql.windowStarts(duration, win).toDF("ws")
 
-  private lazy val rates = StreamGen.uniformRates(nEvents, duration, nTypes)
   private lazy val realRates = Rates(typeIds.map { case (name, _) =>
     name -> nEvents.toDouble / duration / nTypes
   })
@@ -47,6 +46,8 @@ class SparkExecutorsSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     // Optimize over the workload's own alphabet.
     Optimizer.sharon(workload, realRates).plan
   }
+  private val aseq        = CompiledPlan.nonShared(workload, typeIds)
+  private lazy val sharon = CompiledPlan.compile(workload, sharonPlan, typeIds)
 
   private def oracleCheck(df: DataFrame): Unit =
     Oracle.assertEquivalent(
@@ -58,36 +59,36 @@ class SparkExecutorsSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     df.collect().map(r => (r.getInt(0), r.getLong(1)) -> r.getLong(2)).toMap
 
   test("A-Seq executor matches the DuckDB oracle on the traffic workload") {
-    val res = OnlineExecutors.runASeq(spark, events, workload, typeIds)
+    val res = OnlineExecutors.run(spark, events, aseq)
     assert(res.metrics.events > 0)
     oracleCheck(res.counts)
   }
 
   test("Sharon executor matches the DuckDB oracle under the optimal plan") {
     assert(sharonPlan.nonEmpty, "expected sharing opportunities in the traffic workload")
-    val res = OnlineExecutors.runSharon(spark, events, workload, sharonPlan, typeIds)
+    val res = OnlineExecutors.run(spark, events, sharon)
     oracleCheck(res.counts)
   }
 
   test("Flink-like two-step executor matches the DuckDB oracle") {
-    val res = TwoStepExecutors.runFlinkLike(spark, eventsDf, workload, typeIds)
+    val res = TwoStepExecutors.run(spark, eventsDf, aseq)
     assert(res.matchesConstructed > 0)
     oracleCheck(res.counts)
   }
 
   test("SPASS-like two-step executor matches the DuckDB oracle") {
-    val res = TwoStepExecutors.runSpassLike(spark, eventsDf, workload, sharonPlan, typeIds)
+    val res = TwoStepExecutors.run(spark, eventsDf, sharon)
     oracleCheck(res.counts)
   }
 
   test("all four executors agree with each other") {
-    val aseq   = asMap(OnlineExecutors.runASeq(spark, events, workload, typeIds).counts)
-    val sharon = asMap(OnlineExecutors.runSharon(spark, events, workload, sharonPlan, typeIds).counts)
-    val flink  = asMap(TwoStepExecutors.runFlinkLike(spark, eventsDf, workload, typeIds).counts)
-    val spass  = asMap(TwoStepExecutors.runSpassLike(spark, eventsDf, workload, sharonPlan, typeIds).counts)
-    assert(sharon == aseq)
-    assert(flink == aseq)
-    assert(spass == aseq)
+    val a = asMap(OnlineExecutors.run(spark, events, aseq).counts)
+    val s = asMap(OnlineExecutors.run(spark, events, sharon).counts)
+    val f = asMap(TwoStepExecutors.run(spark, eventsDf, aseq).counts)
+    val p = asMap(TwoStepExecutors.run(spark, eventsDf, sharon).counts)
+    assert(s == a)
+    assert(f == a)
+    assert(p == a)
   }
 
   test("SPASS-like counts equal the online engine's with two shared segments in one query") {
@@ -98,26 +99,27 @@ class SparkExecutorsSpec extends SparkSpec with AdaptiveSparkPlanHelper {
       Seq(Pattern("A", "B", "C", "D", "E"), Pattern("B", "C"), Pattern("D", "E")))
     val plan = Seq(EngineFixtures.candidate(w, Pattern("B", "C"), Set(0, 1)),
       EngineFixtures.candidate(w, Pattern("D", "E"), Set(0, 2)))
-    assert(CompiledPlan.compile(w, plan, ids).queries(0).segments.map(_.shared) ==
-      Vector(false, true, true))
+    val cw   = CompiledPlan.compile(w, plan, ids)
+    assert(cw.querySegments(0).map(cw.readers(_).size > 1) == Vector(false, true, true))
     val ev     = EngineFixtures.randomEvents(1003L, 400, 60, 5, 2).toDS().cache()
-    val online = asMap(OnlineExecutors.runSharon(spark, ev, w, plan, ids).counts)
-    val spass  = asMap(TwoStepExecutors.runSpassLike(spark, ev.toDF(), w, plan, ids).counts)
+    val online = asMap(OnlineExecutors.run(spark, ev, cw).counts)
+    val spass  = asMap(TwoStepExecutors.run(spark, ev.toDF(), cw).counts)
     assert(spass == online)
     assert(online.keys.exists(_._1 == 0), "q0 never matched")
   }
 
   test("Sharon under the greedy plan also matches A-Seq (plan changes cost, not results)") {
     val greedyPlan = Optimizer.greedy(workload, realRates).plan
-    val g   = asMap(OnlineExecutors.runSharon(spark, events, workload, greedyPlan, typeIds).counts)
-    val a   = asMap(OnlineExecutors.runASeq(spark, events, workload, typeIds).counts)
+    val g   = asMap(OnlineExecutors.run(spark, events,
+      CompiledPlan.compile(workload, greedyPlan, typeIds)).counts)
+    val a   = asMap(OnlineExecutors.run(spark, events, aseq).counts)
     assert(g == a)
   }
 
   test("sharing reduces engine work on the traffic workload") {
-    val aseq   = OnlineExecutors.runASeq(spark, events, workload, typeIds)
-    val sharon = OnlineExecutors.runSharon(spark, events, workload, sharonPlan, typeIds)
-    assert(sharon.metrics.countUpdates < aseq.metrics.countUpdates)
+    val a = OnlineExecutors.run(spark, events, aseq)
+    val s = OnlineExecutors.run(spark, events, sharon)
+    assert(s.metrics.countUpdates < a.metrics.countUpdates)
   }
 
   test("purchase workload: online executors match the oracle") {
@@ -126,11 +128,11 @@ class SparkExecutorsSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     val ev  = StreamGen.uniform(spark, 200, duration, ids.size, numKeys = 3, seed = 5).cache()
     val r   = Rates(ids.map { case (n, _) => n -> 200.0 / duration / ids.size })
     val plan = Optimizer.sharon(pw, r).plan
-    val aseq   = OnlineExecutors.runASeq(spark, ev, pw, ids)
-    val sharon = OnlineExecutors.runSharon(spark, ev, pw, plan, ids)
-    Oracle.assertEquivalent(aseq.counts, OracleSql.workloadSql(pw, ids),
+    val a = OnlineExecutors.run(spark, ev, CompiledPlan.nonShared(pw, ids))
+    val s = OnlineExecutors.run(spark, ev, CompiledPlan.compile(pw, plan, ids))
+    Oracle.assertEquivalent(a.counts, OracleSql.workloadSql(pw, ids),
       "events" -> ev.toDF(), "windows" -> windowsDf)
-    assert(asMap(aseq.counts) == asMap(sharon.counts))
+    assert(asMap(a.counts) == asMap(s.counts))
   }
 
   test("parametric workload at larger key counts: Sharon == A-Seq") {
@@ -138,10 +140,10 @@ class SparkExecutorsSpec extends SparkSpec with AdaptiveSparkPlanHelper {
       numBackbones = 2, window = WindowSpec(60, 20), seed = 9)
     val ids  = StreamGen.typeIds(10)
     val ev   = StreamGen.uniform(spark, 500, 300, 10, numKeys = 16, seed = 11).cache()
-    val r    = StreamGen.uniformRates(500, 300, 10)
+    val r    = Rates(ids.map { case (n, _) => n -> 500.0 / 300 / 10 })
     val plan = Optimizer.sharon(w, r).plan
-    val a = asMap(OnlineExecutors.runASeq(spark, ev, w, ids).counts)
-    val s = asMap(OnlineExecutors.runSharon(spark, ev, w, plan, ids).counts)
+    val a = asMap(OnlineExecutors.run(spark, ev, CompiledPlan.nonShared(w, ids)).counts)
+    val s = asMap(OnlineExecutors.run(spark, ev, CompiledPlan.compile(w, plan, ids)).counts)
     assert(a == s)
     assert(a.nonEmpty)
   }
@@ -153,7 +155,7 @@ class SparkExecutorsSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     }
     spark.sparkContext.addSparkListener(listener)
     try {
-      val res = OnlineExecutors.runASeq(spark, events, workload, typeIds)
+      val res = OnlineExecutors.run(spark, events, aseq)
       // The engine stage is the one whose tasks fed this run's accumulator,
       // whose driver-side value is the returned metrics object.
       def engineStages = stages.asScala.toList.filter(_.accumulables.values.exists(

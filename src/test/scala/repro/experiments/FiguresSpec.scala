@@ -124,6 +124,18 @@ class FiguresSpec extends AnyFunSuite {
     assert(t.toJson + "\n" == json, "the file is not what the runner writes for its own table")
   }
 
+  test("committed fig16 GO and SO scores of the 21- and 63-query rows are the optimizers' own") {
+    val p = Fig16PlanQuality.Params()
+    val t = ExperimentTable.fromJson(Files.readString(Paths.get("results", "fig16.json")))
+    for (nc <- p.numClusters.take(2)) {
+      val (w, rates)       = Fig16PlanQuality.workload(nc, p)
+      val (greedy, sharon) = Fig16PlanQuality.plans(w, rates, p)
+      val row = t.record("queries", w.size.toString)
+      assert(row("GO score").toDouble == greedy.score, s"GO at ${w.size} queries")
+      assert(row("SO score").toDouble == sharon.score, s"SO at ${w.size} queries")
+    }
+  }
+
   test("results/ holds exactly the artifacts' JSON files") {
     val files = Files.list(Paths.get("results")).toArray.map(_.toString).sorted.toSeq
     assert(files == Figures.artifacts.map(a => Paths.get("results", s"${a.name}.json").toString).sorted)

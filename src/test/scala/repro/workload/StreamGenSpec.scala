@@ -44,14 +44,6 @@ class StreamGenSpec extends SparkSpec {
     assert(secondHalf > firstHalf * 2) // density grows with time
   }
 
-  test("uniformRates matches the empirical per-type rate") {
-    val r  = StreamGen.uniformRates(10000, 1000, 4)
-    assert(math.abs(r(StreamGen.typeName(0)) - 2.5) < 1e-9)
-    val ev = StreamGen.uniform(spark, 10000, 1000, 4, 5).collect()
-    val measured = ev.count(_.etype == 0).toDouble / 1000
-    assert(math.abs(measured - 2.5) < 0.5)
-  }
-
   test("typeIds maps the alphabet densely") {
     assert(StreamGen.typeIds(3) ==
       Map("T000" -> 0, "T001" -> 1, "T002" -> 2))
